@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import imageio, mitigation, physics, sweep as sweepmod
@@ -97,7 +98,9 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     sp = p.add_argument_group("spatial noise")
     sp.add_argument("--dsnu", type=float, help="per-pixel offset sigma, DN")
     sp.add_argument("--column-fpn", type=float, help="per-column offset sigma, DN")
-    sp.add_argument("--prnu", type=float, help="gain sigma, fraction")
+    sp.add_argument(
+        "--prnu", type=float, help="gain sigma, fraction; only 0, as illumination is not modelled"
+    )
 
     p.add_argument("--seed", type=int)
 
@@ -194,7 +197,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ext = ".pgm" if scenario.sensor.channels == 1 else ".ppm"
+    ext = imageio.image_suffix(scenario.sensor.channels)
     stack = simulate_stack(scenario, n)
     names = []
     for i, frame in enumerate(stack, start=1):
@@ -378,15 +381,20 @@ def cmd_mitigate(args: argparse.Namespace) -> int:
     paths = _expand_inputs(args.inputs)
     frames = _load_stack(paths)
     out_dir = Path(args.out_dir)
+    # Same name as the input, in a format write_image takes (BMP in, PPM out).
+    names = [p.stem + imageio.image_suffix(f.channels) for p, f in zip(paths, frames)]
+    clashes = sorted(name for name, count in Counter(names).items() if count > 1)
+    if clashes:
+        raise UsageError(f"inputs would overwrite each other in {out_dir}: {', '.join(clashes)}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for p, frame in zip(paths, frames):
+    for name, frame in zip(names, frames):
         if args.method == "dark-ref":
             fixed = mitigation.dark_reference_correct(
                 frame, args.dark_cols, pedestal_dn=args.pedestal
             )
         else:
             fixed = mitigation.lowpass_offset_suppress(frame, args.kernel_rows)
-        imageio.write_image(fixed, out_dir / p.name)
+        imageio.write_image(fixed, out_dir / name)
     _write_sidecar(
         out_dir / "config.json",
         {

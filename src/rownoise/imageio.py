@@ -16,11 +16,16 @@ import numpy as np
 
 from .sensor import Frame
 
-__all__ = ["ImageParseError", "write_image", "read_image", "read_stack"]
+__all__ = ["ImageParseError", "image_suffix", "write_image", "read_image", "read_stack"]
 
 
 class ImageParseError(ValueError):
     """Raised when a file does not decode as PGM, PPM or 24-bit BMP."""
+
+
+def image_suffix(channels: int) -> str:
+    """The suffix write_image takes for a frame of this many channels."""
+    return ".pgm" if channels == 1 else ".ppm"
 
 
 def write_image(frame: Frame, path: str | Path) -> None:
@@ -30,14 +35,12 @@ def write_image(frame: Frame, path: str | Path) -> None:
     .ppm is RGB.
     """
     path = Path(path)
-    suffix = path.suffix.lower()
+    expected = image_suffix(frame.channels)
+    if path.suffix.lower() != expected:
+        raise ValueError(f"{frame.channels}-channel frames write {expected}, got {path.name!r}")
     if frame.channels == 1:
-        if suffix != ".pgm":
-            raise ValueError(f"1-channel frames write .pgm, got {path.name!r}")
         magic, payload = b"P5", frame.pixels[0].tobytes()
     else:
-        if suffix != ".ppm":
-            raise ValueError(f"3-channel frames write .ppm, got {path.name!r}")
         # P6 interleaves RGB per pixel.
         magic, payload = b"P6", np.transpose(frame.pixels, (1, 2, 0)).tobytes()
     header = b"%s\n%d %d\n255\n" % (magic, frame.width, frame.rows)

@@ -146,8 +146,7 @@ def recommend_tuning(
     if fps_step <= 0:
         raise ValueError(f"fps_step must be positive, got {fps_step}")
 
-    n_fps = int(math.floor((fps_hi - fps_lo) / fps_step + 1e-9)) + 1
-    fps_grid = fps_lo + fps_step * np.arange(n_fps)
+    fps_grid = np.array(physics.frequency_grid(fps_lo, fps_hi, fps_step))
     mode = TuningMode(mode)
 
     best: tuple[float, float, int] | None = None  # (alias, fps, frame_length)

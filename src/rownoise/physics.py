@@ -34,6 +34,7 @@ __all__ = [
     "quantization_noise",
     "prnu_sigma",
     "line_frequency",
+    "frequency_grid",
     "alias_and_band_height",
 ]
 
@@ -158,6 +159,20 @@ def line_frequency(fps: float, frame_length_rows: int) -> float:
     )
     _require(frame_length_rows >= 1, f"frame length must be >= 1, got {frame_length_rows}")
     return fps * frame_length_rows
+
+
+def frequency_grid(start: float, stop: float, step: float) -> list[float]:
+    """start, start + step, ... up to stop, stop included when it lies on
+    the grid.
+
+    The point count allows 1e-9 of a step for float drift, so 0.1 to 0.3
+    in steps of 0.1 has 3 points although (0.3 - 0.1) / 0.1 is just
+    under 2. Point i is start + i * step, never a running sum.
+    """
+    _require(step > 0, f"step must be positive, got {step}")
+    _require(stop >= start, f"stop {stop} is below start {start}")
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return [start + i * step for i in range(count)]
 
 
 @dataclass(frozen=True)

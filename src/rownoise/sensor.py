@@ -14,14 +14,22 @@ picks up a common offset
 on top of the dark pedestal. Optical black rows are read through the same
 chain and carry the same offset. Temporal noise sources (shot, read,
 reset, flicker) and frozen spatial non-uniformities stack on the analog
-value, which is then rounded half away from zero and clamped to the 8-bit
-range.
+value, which is then rounded to the nearest DN with halves going up,
+floor(x + 0.5), and clamped to the 8-bit range. Negative values clamp to
+0, so on the output range this is the same as rounding half away from
+zero.
+
+The illumination is fixed at 0 lux: there is no photo signal, so
+photo-response non-uniformity (PRNU) has nothing to act on and is not
+modelled; SpatialNoiseConfig accepts only prnu_fraction 0.
 
 Determinism: every stochastic term draws from its own Philox substream
 keyed by (seed, frame_index, source tag), filled row-major in one shot.
 Frames can therefore be generated in any order, on any worker count, and
 come out bit-identical. Fixed-pattern maps are keyed by seed alone so
-they stay frozen across a stack.
+they stay frozen across a stack. A source whose sigma or switch is off
+draws nothing and adds nothing, which leaves the other substreams and
+every output bit as they would be with its zero term added.
 
 Units: one simulated electron contributes one DN. Neither the supply
 coupling path nor the 0 lux operating point gives a reason to pick a
@@ -74,7 +82,6 @@ _TAG_RESET = 4
 _TAG_FLICKER = 5
 _TAG_FPN_PIXEL = 6
 _TAG_FPN_COLUMN = 7
-_TAG_FPN_PRNU = 8
 
 
 class PhaseMode(str, Enum):
@@ -186,15 +193,19 @@ class TemporalNoiseConfig:
 class SpatialNoiseConfig:
     dsnu_dn: float = 0.0        # per-pixel offset sigma, frozen per seed
     column_fpn_dn: float = 0.0  # per-column offset sigma, constant down rows
-    prnu_fraction: float = 0.0  # gain sigma; multiplies photo signal only
+    prnu_fraction: float = 0.0  # gain sigma; must be 0 at 0 lux (see module doc)
 
     def __post_init__(self) -> None:
         if self.dsnu_dn < 0:
             raise ValueError(f"dsnu_dn must be >= 0, got {self.dsnu_dn}")
         if self.column_fpn_dn < 0:
             raise ValueError(f"column_fpn_dn must be >= 0, got {self.column_fpn_dn}")
-        if self.prnu_fraction < 0:
-            raise ValueError(f"prnu_fraction must be >= 0, got {self.prnu_fraction}")
+        if self.prnu_fraction != 0:
+            raise ValueError(
+                f"prnu_fraction must be 0, got {self.prnu_fraction}: illumination is "
+                "not modelled (captures are dark), so there is no photo signal for "
+                "PRNU to scale"
+            )
 
 
 @dataclass(frozen=True)
@@ -245,9 +256,11 @@ class Frame:
 
 @dataclass(frozen=True)
 class FpnMaps:
-    pixel_offset_dn: np.ndarray  # (channels, rows, width)
-    column_offset_dn: np.ndarray  # (channels, width), broadcast down rows
-    prnu_gain: np.ndarray        # (channels, rows, width), mean 1
+    """Frozen offset maps. A map whose sigma is 0 is None: nothing is
+    drawn for it and nothing is added."""
+
+    pixel_offset_dn: np.ndarray | None  # (channels, rows, width)
+    column_offset_dn: np.ndarray | None  # (channels, width), broadcast down rows
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -298,27 +311,53 @@ def pink_noise(n: int, rng: np.random.Generator, octaves: int = 16) -> np.ndarra
     for k in range(octaves):
         step = 1 << k
         draws = rng.standard_normal((n + step - 1) // step)
-        total += np.repeat(draws, step)[:n]
-    return total / math.sqrt(octaves)
+        # Each draw covers one block of `step` outputs; the last block
+        # may be short.
+        whole = n // step
+        blocks = total[: whole * step].reshape(whole, step)
+        blocks += draws[:whole, None]
+        if whole < len(draws):
+            total[whole * step :] += draws[whole]
+    total /= math.sqrt(octaves)
+    return total
+
+
+def _add_scaled_normal(analog: np.ndarray, rng: np.random.Generator, sigma: float) -> None:
+    # The same bits as analog += rng.normal(0.0, sigma, analog.shape).
+    noise = rng.standard_normal(analog.shape)
+    noise *= sigma
+    analog += noise
+
+
+def _quantize_in_place(analog: np.ndarray) -> np.ndarray:
+    # clip(floor(x + 0.5), 0, MAX_DN) computed as a truncating cast of
+    # clip(x + 0.5, 0, MAX_DN): on [0, MAX_DN] truncation is floor.
+    analog += 0.5
+    np.clip(analog, 0, MAX_DN, out=analog)
+    return analog.astype(np.uint8)
 
 
 def quantize_dn(analog: np.ndarray) -> np.ndarray:
-    """Round half away from zero, clamp to [0, MAX_DN], cast to uint8."""
-    a = np.asarray(analog, dtype=np.float64)
-    rounded = np.sign(a) * np.floor(np.abs(a) + 0.5)
-    return np.clip(rounded, 0, MAX_DN).astype(np.uint8)
+    """Round to the nearest DN with halves up, clamp to [0, MAX_DN], cast
+    to uint8. The caller's array is left as it is.
+
+    Halves up and halves away from zero differ only below zero, where
+    both clamp to 0.
+    """
+    return _quantize_in_place(np.array(analog, dtype=np.float64))
 
 
 def generate_fpn_maps(seed: int, sensor: SensorConfig, spatial: SpatialNoiseConfig) -> FpnMaps:
     """Frozen non-uniformity maps for one seed. Frame-independent."""
-    shape = (sensor.channels, sensor.readout_rows, sensor.width)
-    pixel = _stream(seed, _TAG_FPN_PIXEL).standard_normal(shape) * spatial.dsnu_dn
-    column = (
-        _stream(seed, _TAG_FPN_COLUMN).standard_normal((sensor.channels, sensor.width))
-        * spatial.column_fpn_dn
-    )
-    prnu = 1.0 + _stream(seed, _TAG_FPN_PRNU).standard_normal(shape) * spatial.prnu_fraction
-    return FpnMaps(pixel_offset_dn=pixel, column_offset_dn=column, prnu_gain=prnu)
+    pixel = column = None
+    if spatial.dsnu_dn != 0:
+        shape = (sensor.channels, sensor.readout_rows, sensor.width)
+        pixel = _stream(seed, _TAG_FPN_PIXEL).standard_normal(shape)
+        pixel *= spatial.dsnu_dn
+    if spatial.column_fpn_dn != 0:
+        column = _stream(seed, _TAG_FPN_COLUMN).standard_normal((sensor.channels, sensor.width))
+        column *= spatial.column_fpn_dn
+    return FpnMaps(pixel_offset_dn=pixel, column_offset_dn=column)
 
 
 def _frame_phase(scenario: SimScenario, frame_index: int) -> tuple[np.ndarray, float]:
@@ -347,7 +386,11 @@ def row_supply_offsets_dn(scenario: SimScenario, frame_index: int) -> np.ndarray
 def simulate_frame_analog(
     scenario: SimScenario, frame_index: int, fpn: FpnMaps | None = None
 ) -> np.ndarray:
-    """Analog pixel values before quantization, float64 (channels, rows, width)."""
+    """Analog pixel values before quantization, float64 (channels, rows, width).
+
+    The terms are summed into one buffer in a fixed order: pedestal plus
+    supply offset, shot, read, reset, flicker, pixel FPN, column FPN.
+    """
     sensor = scenario.sensor
     temporal = scenario.temporal
     if fpn is None:
@@ -355,37 +398,30 @@ def simulate_frame_analog(
 
     shape = (sensor.channels, sensor.readout_rows, sensor.width)
     offsets = row_supply_offsets_dn(scenario, frame_index)
-    analog = np.broadcast_to(
-        sensor.pedestal_dn + offsets[None, :, None], shape
-    ).astype(np.float64)
+    analog = np.empty(shape, dtype=np.float64)
+    analog[...] = (sensor.pedestal_dn + offsets)[:, None]
+
+    def stream(tag: int) -> np.random.Generator:
+        return _stream(scenario.seed, frame_index, tag)
 
     if temporal.shot_enabled and temporal.dark_signal_e > 0:
-        dark = _stream(scenario.seed, frame_index, _TAG_SHOT).poisson(
-            temporal.dark_signal_e, shape
-        )
-        analog = analog + dark  # 1 DN per electron
+        analog += stream(_TAG_SHOT).poisson(temporal.dark_signal_e, shape)  # 1 DN per e-
     if temporal.read_noise_dn > 0:
-        analog = analog + _stream(scenario.seed, frame_index, _TAG_READ).normal(
-            0.0, temporal.read_noise_dn, shape
-        )
+        _add_scaled_normal(analog, stream(_TAG_READ), temporal.read_noise_dn)
     if temporal.reset_enabled and not temporal.cds_enabled:
         sigma = (
             physics.reset_noise_v(temporal.reset_temp_k, temporal.reset_cap_f)
             * sensor.dn_per_volt
         )
-        analog = analog + _stream(scenario.seed, frame_index, _TAG_RESET).normal(
-            0.0, sigma, shape
-        )
+        _add_scaled_normal(analog, stream(_TAG_RESET), sigma)
     if temporal.flicker_enabled and temporal.flicker_scale_dn > 0:
-        series = pink_noise(
-            sensor.channels * sensor.readout_rows * sensor.width,
-            _stream(scenario.seed, frame_index, _TAG_FLICKER),
-        )
-        analog = analog + temporal.flicker_scale_dn * series.reshape(shape)
-
-    analog = analog + fpn.pixel_offset_dn + fpn.column_offset_dn[:, None, :]
-    # prnu_gain would multiply photo signal here; illumination is fixed
-    # at 0 lux, so there is none.
+        series = pink_noise(analog.size, stream(_TAG_FLICKER))
+        series *= temporal.flicker_scale_dn
+        analog += series.reshape(shape)
+    if fpn.pixel_offset_dn is not None:
+        analog += fpn.pixel_offset_dn
+    if fpn.column_offset_dn is not None:
+        analog += fpn.column_offset_dn[:, None, :]
     return analog
 
 
@@ -395,7 +431,7 @@ def simulate_frame(
     """Quantized capture of one frame."""
     analog = simulate_frame_analog(scenario, frame_index, fpn)
     return Frame(
-        pixels=quantize_dn(analog),
+        pixels=_quantize_in_place(analog),
         frame_index=frame_index,
         scenario_digest=scenario.digest(),
         seed=scenario.seed,

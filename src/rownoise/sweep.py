@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import imageio
+from . import imageio, physics
 from .metric import ImageStack, row_noise
 from .sensor import SimScenario, scenario_from_json, scenario_to_json, simulate_stack
 
@@ -126,8 +126,7 @@ class SweepResult:
 
 def sweep_frequencies(config: SweepConfig) -> list[float]:
     """start, start+step, ... up to and including end when it lands on the grid."""
-    count = int(math.floor((config.end_hz - config.start_hz) / config.step_hz)) + 1
-    return [config.start_hz + i * config.step_hz for i in range(count)]
+    return physics.frequency_grid(config.start_hz, config.end_hz, config.step_hz)
 
 
 def _step_seed(seed: int, index: int) -> int:
@@ -224,9 +223,12 @@ def read_csv(path: str | Path) -> SweepResult:
         if len(parts) != 2:
             raise CsvParseError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
         try:
-            points.append((float(parts[0]), float(parts[1])))
+            point = (float(parts[0]), float(parts[1]))
         except ValueError as exc:
             raise CsvParseError(f"{path}:{lineno}: {exc}") from exc
+        if not all(math.isfinite(x) for x in point):
+            raise CsvParseError(f"{path}:{lineno}: non-finite value in {line.strip()!r}")
+        points.append(point)
     return SweepResult(points=points, frames_per_point=[], config=None)
 
 

@@ -4,6 +4,7 @@ subprocess smoke check of the module entry point."""
 import json
 import math
 import shlex
+import struct
 import subprocess
 import sys
 
@@ -30,6 +31,16 @@ def write_pgm(path, rows):
     write_image(Frame(pixels=grid[None]), path)
 
 
+def write_bmp(path, rgb):
+    """Write a (rows, width, 3) uint8 array as a bottom-up 24-bit BMP."""
+    rows, width, _ = rgb.shape
+    pad = b"\x00" * (-(width * 3) % 4)
+    payload = b"".join(row[:, ::-1].tobytes() + pad for row in rgb[::-1])
+    header = struct.pack("<2sIHHI", b"BM", 54 + len(payload), 0, 0, 54)
+    info = struct.pack("<IiiHHIIiiII", 40, width, rows, 1, 24, 0, len(payload), 0, 0, 0, 0)
+    path.write_bytes(header + info + payload)
+
+
 class TestSimulate:
     def test_writes_numbered_frames_and_sidecar(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -44,6 +55,11 @@ class TestSimulate:
         assert sidecar["command"] == "simulate"
         assert sidecar["frames"] == 3
         assert sidecar["scenario"]["supply"]["frequency_hz"] == 126000.0
+
+    def test_nonzero_prnu_is_usage_error(self, tmp_path, capsys):
+        assert main(["simulate", "--prnu", "0.01", "--out-dir", str(tmp_path)]) == 2
+        assert "illumination is not modelled" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_zero_frames_is_usage_error(self, tmp_path):
         assert main(["simulate", "--frames", "0", "--out-dir", str(tmp_path)]) == 2
@@ -285,6 +301,12 @@ class TestReportCli:
     def test_missing_csv_is_runtime_error(self, tmp_path):
         assert main(["report", "--csv", str(tmp_path / "nope.csv")]) == 1
 
+    def test_non_finite_csv_is_runtime_error(self, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("frequency_hz,row_noise\n1,nan\n2,0.5\n")
+        assert main(["report", "--csv", str(bad)]) == 1
+        assert "nan.csv:2:" in capsys.readouterr().err
+
     def test_malformed_csv_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("frequency_hz,row_noise\nwat\n")
@@ -315,6 +337,34 @@ class TestMitigateCli:
                      "--out-dir", str(fixed), str(src)]) == 0
         assert (fixed / "im1.pgm").exists()
         assert (fixed / "im2.pgm").exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--method", "lowpass"], ["--method", "dark-ref", "--pedestal", "40"]]
+    )
+    def test_bmp_input_writes_ppm(self, tmp_path, capsys, flags):
+        src = tmp_path / "bmp"
+        src.mkdir()
+        # Width 5 gives each BMP row 1 byte of padding.
+        rows = 40 + 6 * (np.arange(24) % 4 == 2)
+        for i in (1, 2):
+            rgb = np.broadcast_to(rows[:, None, None], (24, 5, 3)).astype(np.uint8)
+            write_bmp(src / f"im{i}.bmp", rgb)
+        out = tmp_path / "fixed"
+        assert main(["mitigate", *flags, "--out-dir", str(out), str(src)]) == 0
+        assert sorted(p.name for p in out.glob("im*")) == ["im1.ppm", "im2.ppm"]
+        capsys.readouterr()
+        assert main(["analyze", str(src)]) == 0
+        assert float(capsys.readouterr().out) > 2.0
+        assert main(["analyze", str(out)]) == 0
+        assert float(capsys.readouterr().out) < 0.5
+
+    def test_inputs_with_one_output_name_are_usage_error(self, tmp_path, capsys):
+        a, b = self.banded_dir(tmp_path, "a"), self.banded_dir(tmp_path, "b")
+        out = tmp_path / "fixed"
+        assert main(["mitigate", "--method", "lowpass", "--out-dir", str(out),
+                     str(a / "im1.pgm"), str(b / "im1.pgm")]) == 2
+        assert "im1.pgm" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tune_prints_recommendation(self, capsys):
         assert main(["mitigate", "--method", "tune", "--noise-freq", "24000",

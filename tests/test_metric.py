@@ -51,6 +51,12 @@ class TestRowMeans:
         assert profile.means.shape == (1, 2)
         assert list(profile.means[0]) == [5.0, 25.0]
 
+    def test_equals_float_mean_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        pixels = rng.integers(0, 256, size=(3, 40, 4099), dtype=np.uint8)
+        expected = pixels.astype(np.float64).mean(axis=2)
+        assert np.array_equal(row_means(Frame(pixels=pixels)).means, expected)
+
     def test_per_channel(self):
         pixels = np.zeros((3, 2, 4), dtype=np.uint8)
         pixels[2] = 100

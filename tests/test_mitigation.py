@@ -170,6 +170,12 @@ class TestTuning:
         assert rec.predicted_band_height_rows == UNIFORM
         assert rec.mode is TuningMode.SYNC
 
+    def test_fps_range_end_survives_float_drift(self):
+        # 0.1 to 0.3 in 0.1 steps has 3 grid points; 0.3 fps x 1 row
+        # folds 0.15 Hz to 0.15 Hz, the widest separation on offer.
+        rec = recommend_tuning(0.15, (0.1, 0.3), (1, 1), fps_step=0.1)
+        assert rec.recommended_fps == pytest.approx(0.3)
+
     def test_mode_accepts_string(self):
         rec = recommend_tuning(4500.0, (30.0, 30.0), (100, 100), mode="sync")
         assert rec.mode is TuningMode.SYNC

@@ -13,6 +13,7 @@ from rownoise.physics import (
     can_excite_silicon,
     fill_factor,
     flicker_psd,
+    frequency_grid,
     line_frequency,
     photon_energy_ev,
     prnu_sigma,
@@ -232,6 +233,24 @@ class TestLineFrequency:
             line_frequency(30.0, 0)
         with pytest.raises(ValueError):
             line_frequency(30.0, 800.5)
+
+
+class TestFrequencyGrid:
+    def test_includes_stop_under_float_drift(self):
+        grid = frequency_grid(0.1, 0.3, 0.1)
+        assert grid == [0.1, 0.1 + 1 * 0.1, 0.1 + 2 * 0.1]
+
+    def test_stop_off_grid_is_left_out(self):
+        assert frequency_grid(50.0, 100_000.0, 1000.0)[-1] == 99_050.0
+        assert len(frequency_grid(50.0, 100_000.0, 1000.0)) == 100
+
+    def test_single_point(self):
+        assert frequency_grid(4110.0, 4110.0, 1000.0) == [4110.0]
+
+    @pytest.mark.parametrize("args", [(1.0, 2.0, 0.0), (1.0, 2.0, -1.0), (2.0, 1.0, 0.5)])
+    def test_validation(self, args):
+        with pytest.raises(ValueError):
+            frequency_grid(*args)
 
 
 class TestAliasModel:

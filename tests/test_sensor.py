@@ -147,6 +147,22 @@ class TestQuantize:
     def test_clamps_to_output_range(self):
         assert list(quantize_dn(np.array([-50.0, 300.0]))) == [0, 255]
 
+    def test_matches_half_away_from_zero_reference(self):
+        rng = np.random.default_rng(5)
+        vals = np.concatenate([
+            rng.uniform(-300.0, 600.0, 5000),
+            np.arange(-3.0, 258.0, 0.5),
+            [np.nextafter(0.5, 0.0), np.nextafter(254.5, 0.0), -np.inf, np.inf],
+        ])
+        reference = np.clip(np.sign(vals) * np.floor(np.abs(vals) + 0.5), 0, 255)
+        assert np.array_equal(quantize_dn(vals), reference.astype(np.uint8))
+
+    def test_leaves_input_unchanged(self):
+        vals = np.array([[0.4, 2.5], [-1.0, 300.0]])
+        before = vals.copy()
+        quantize_dn(vals)
+        assert np.array_equal(vals, before)
+
 
 class TestSupplyCoupling:
     def test_quiet_supply_gives_exact_pedestal(self):
@@ -312,6 +328,17 @@ class TestTemporalNoise:
         assert np.array_equal(a, b)
         assert 0.2 < float(np.var(a)) < 5.0
 
+    @pytest.mark.parametrize("n", [1, 7, 1024, 1500])
+    def test_pink_noise_matches_repeat_reference(self, n):
+        # The octave sum written out with full-length repeats.
+        rng = np.random.default_rng(11)
+        total = np.zeros(n)
+        for k in range(16):
+            step = 1 << k
+            total += np.repeat(rng.standard_normal((n + step - 1) // step), step)[:n]
+        expected = total / math.sqrt(16)
+        assert np.array_equal(pink_noise(n, np.random.default_rng(11)), expected)
+
     def test_pink_noise_validation(self):
         with pytest.raises(ValueError):
             pink_noise(0, np.random.default_rng(0))
@@ -319,18 +346,28 @@ class TestTemporalNoise:
 
 class TestFixedPattern:
     def test_zero_sigmas_give_zero_maps(self):
+        # A zero-sigma map is not drawn at all; None stands for all zeros.
         maps = generate_fpn_maps(0, SMALL, SpatialNoiseConfig())
-        assert not maps.pixel_offset_dn.any()
-        assert not maps.column_offset_dn.any()
-        assert np.all(maps.prnu_gain == 1.0)
+        assert maps.pixel_offset_dn is None
+        assert maps.column_offset_dn is None
 
     def test_same_seed_same_maps(self):
-        spatial = SpatialNoiseConfig(dsnu_dn=2.0, column_fpn_dn=1.0, prnu_fraction=0.01)
+        spatial = SpatialNoiseConfig(dsnu_dn=2.0, column_fpn_dn=1.0)
         a = generate_fpn_maps(9, SMALL, spatial)
         b = generate_fpn_maps(9, SMALL, spatial)
         assert np.array_equal(a.pixel_offset_dn, b.pixel_offset_dn)
         assert np.array_equal(a.column_offset_dn, b.column_offset_dn)
-        assert np.array_equal(a.prnu_gain, b.prnu_gain)
+
+    def test_one_zero_sigma_leaves_the_other_map_unchanged(self):
+        both = generate_fpn_maps(4, SMALL, SpatialNoiseConfig(dsnu_dn=2.0, column_fpn_dn=1.0))
+        column_only = generate_fpn_maps(4, SMALL, SpatialNoiseConfig(column_fpn_dn=1.0))
+        assert column_only.pixel_offset_dn is None
+        assert np.array_equal(column_only.column_offset_dn, both.column_offset_dn)
+
+    @pytest.mark.parametrize("fraction", [0.01, -0.01, float("nan")])
+    def test_nonzero_prnu_rejected(self, fraction):
+        with pytest.raises(ValueError, match="illumination is not modelled"):
+            SpatialNoiseConfig(prnu_fraction=fraction)
 
     def test_dsnu_sigma_realized(self):
         sensor = SensorConfig(width=1280, active_rows=800)

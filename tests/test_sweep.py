@@ -62,6 +62,13 @@ class TestGrid:
         cfg = SweepConfig(start_hz=100.0, end_hz=500.0, step_hz=100.0)
         assert sweep_frequencies(cfg) == [100.0, 200.0, 300.0, 400.0, 500.0]
 
+    def test_end_survives_float_drift(self):
+        # (0.3 - 0.1) / 0.1 is 1.9999999999999998 in float64.
+        cfg = SweepConfig(start_hz=0.1, end_hz=0.3, step_hz=0.1)
+        freqs = sweep_frequencies(cfg)
+        assert len(freqs) == 3
+        assert freqs[-1] == pytest.approx(0.3)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -262,6 +269,13 @@ class TestCsv:
         path = tmp_path / "wide.csv"
         path.write_text("frequency_hz,row_noise\n100,1.0,9\n")
         with pytest.raises(CsvParseError, match=":2:"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("line", ["200,nan", "200,inf", "-inf,1.0", "NaN,NaN"])
+    def test_non_finite_value_rejected_with_line_number(self, tmp_path, line):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"frequency_hz,row_noise\n100,1.0\n{line}\n")
+        with pytest.raises(CsvParseError, match=r"nan\.csv:3: non-finite"):
             read_csv(path)
 
 
