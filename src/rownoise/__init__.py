@@ -1,13 +1,6 @@
 """Supply-induced row noise: simulation, measurement, mitigation."""
 
-from .physics import (
-    CONSTANTS,
-    UNIFORM,
-    AliasResult,
-    PhysicalConstants,
-    alias_and_band_height,
-    line_frequency,
-)
+from .physics import UNIFORM, AliasResult, alias_and_band_height, line_frequency
 from .sensor import (
     Frame,
     PhaseMode,

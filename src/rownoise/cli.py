@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import imageio, mitigation, physics, sweep as sweepmod
 from .metric import ImageStack, row_noise
-from .sensor import PhaseMode, SimScenario, scenario_from_json, simulate_stack
+from .sensor import PhaseMode, scenario_from_json, scenario_to_json, simulate_stack
 
 __all__ = ["main"]
 
@@ -63,6 +63,17 @@ _SCENARIO_FLAGS = {
     "column_fpn": ("spatial", "column_fpn_dn"),
     "prnu": ("spatial", "prnu_fraction"),
 }
+# CLI flag -> sweep config field, and -> capture source field.
+_SWEEP_FLAGS = {
+    "start": "start_hz",
+    "end": "end_hz",
+    "step": "step_hz",
+    "amp": "amplitude_vpp",
+    "frames_per_step": "frames_per_step",
+    "seed": "seed",
+    "workers": "workers",
+}
+_CAPTURE_FLAGS = {"capture_cmd": "command", "capture_dir": "image_dir", "capture_glob": "pattern"}
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
@@ -105,33 +116,26 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
 
 
-def _merge_scenario(args: argparse.Namespace, base: dict) -> SimScenario:
-    doc = {k: dict(v) for k, v in base.items() if isinstance(v, dict)}
-    if "seed" in base:
-        doc["seed"] = base["seed"]
+def _given(args: argparse.Namespace, flags: dict) -> dict:
+    """The flags given on the command line, keyed by document field."""
+    given = {key: getattr(args, dest) for dest, key in flags.items()}
+    return {key: value for key, value in given.items() if value is not None}
+
+
+def _with_scenario_flags(args: argparse.Namespace, base):
+    """The scenario document base with the scenario flags merged in. A
+    document or section that is not an object stays as it is, for the
+    parser to reject."""
+    if not isinstance(base, dict):
+        return base
+    doc = dict(base)
     for dest, (section, field) in _SCENARIO_FLAGS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            doc.setdefault(section, {})[field] = value
-    if getattr(args, "seed", None) is not None:
+        value, part = getattr(args, dest), doc.get(section, {})
+        if value is not None and isinstance(part, dict):
+            doc[section] = {**part, field: value}
+    if args.seed is not None:
         doc["seed"] = args.seed
-    try:
-        return scenario_from_json(json.dumps(doc))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _load_json(path: str) -> dict:
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise UsageError(f"{path}: config must be a JSON object")
     return doc
-
-
-def _scenario_doc(scenario: SimScenario) -> dict:
-    from .sensor import scenario_to_json
-
-    return json.loads(scenario_to_json(scenario))
 
 
 def _write_sidecar(path: Path, doc: dict) -> None:
@@ -157,23 +161,6 @@ def _expand_inputs(paths: list[str]) -> list[Path]:
     return out
 
 
-def _load_stack(paths: list[Path]) -> list:
-    frames = []
-    first = None
-    for p in paths:
-        frame = imageio.read_image(p)
-        shape = (frame.channels, frame.rows, frame.width)
-        if first is None:
-            first = (p, shape)
-        elif shape != first[1]:
-            raise RuntimeError(
-                f"{p}: dimensions {shape[2]}x{shape[1]}x{shape[0]} do not match "
-                f"{first[0]} ({first[1][2]}x{first[1][1]}x{first[1][0]})"
-            )
-        frames.append(frame)
-    return frames
-
-
 def _fmt_num(x: float) -> str:
     if x == int(x):
         return str(int(x))
@@ -181,19 +168,16 @@ def _fmt_num(x: float) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    base: dict = {}
-    frames_default = 3
-    if args.config:
-        doc = _load_json(args.config)
-        if "scenario" in doc:  # accept a previous run's sidecar
-            base = doc["scenario"]
-            frames_default = int(doc.get("frames", frames_default))
-        else:
-            base = doc
-    scenario = _merge_scenario(args, base)
-    n = args.frames if args.frames is not None else frames_default
-    if n < 1:
-        raise UsageError(f"--frames must be >= 1, got {n}")
+    doc = json.loads(Path(args.config).read_text()) if args.config else {}
+    n = 3
+    if isinstance(doc, dict) and "scenario" in doc:  # a previous run's sidecar
+        n = doc.get("frames", n)
+        doc = doc["scenario"]
+    scenario = scenario_from_json(json.dumps(_with_scenario_flags(args, doc)))
+    if args.frames is not None:
+        n = args.frames
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise UsageError(f"frames must be an integer >= 1, got {n!r}")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -211,7 +195,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "frames": n,
             "out_dir": str(out_dir),
             "prefix": args.prefix,
-            "scenario": _scenario_doc(scenario),
+            "scenario": json.loads(scenario_to_json(scenario)),
         },
     )
     print(f"wrote {', '.join(names)} and config.json to {out_dir}")
@@ -220,7 +204,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     paths = _expand_inputs(args.inputs)
-    frames = _load_stack(paths)
+    frames = imageio.read_stack(paths)
+    if frames[0].rows < 2:
+        raise RuntimeError(f"{paths[0]}: row noise needs at least 2 rows, got {frames[0].rows}")
     result = row_noise(ImageStack(frames))
     if args.per_frame:
         for p, v in zip(paths, result.per_frame):
@@ -243,52 +229,26 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _sweep_config_from_args(args: argparse.Namespace) -> sweepmod.SweepConfig:
-    base: dict = {}
-    if args.config:
-        doc = _load_json(args.config)
-        if "config" in doc and doc.get("command") == "sweep":
-            doc = doc["config"]
-        base = doc
-    base_source = base.pop("source", {"mode": "simulate", "scenario": {}})
-
-    if args.capture_cmd or base_source.get("mode") == "capture":
-        if args.capture_cmd:
-            image_dir = args.capture_dir
-            if image_dir is None:
-                raise UsageError("--capture-cmd requires --capture-dir")
-            source: sweepmod.SimulateSource | sweepmod.CaptureSource = (
-                sweepmod.CaptureSource(
-                    command=args.capture_cmd,
-                    image_dir=Path(image_dir),
-                    pattern=args.capture_glob,
-                )
-            )
-        else:
-            source = sweepmod.CaptureSource(
-                command=base_source["command"],
-                image_dir=Path(base_source["image_dir"]),
-                pattern=base_source.get("pattern", "im*"),
-            )
-    else:
-        scenario = _merge_scenario(args, base_source.get("scenario", {}))
-        source = sweepmod.SimulateSource(scenario=scenario)
-
-    fields = {
-        "start_hz": args.start,
-        "end_hz": args.end,
-        "step_hz": args.step,
-        "amplitude_vpp": args.amp,
-        "frames_per_step": args.frames_per_step,
-        "seed": args.seed,
-        "workers": args.workers,
-    }
-    for key, value in fields.items():
-        if value is not None:
-            base[key] = value
-    try:
-        return sweepmod.SweepConfig(source=source, **base)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad sweep config: {exc}") from exc
+    """Merge the flags into the config file (or sweep sidecar) and parse
+    the result as one sweep document; flags override the file."""
+    doc = json.loads(Path(args.config).read_text()) if args.config else {}
+    if isinstance(doc, dict) and doc.get("command") == "sweep" and "config" in doc:
+        doc = doc["config"]  # a previous run's sidecar
+    if isinstance(doc, dict):
+        doc = {**doc, **_given(args, _SWEEP_FLAGS)}
+        source = doc.get("source", {})
+        if isinstance(source, dict):
+            if args.capture_cmd is not None and source.get("mode") != "capture":
+                source = {"mode": "capture"}
+            if source.get("mode") == "capture":
+                source = {**source, **_given(args, _CAPTURE_FLAGS)}
+            else:
+                source = {
+                    **source,
+                    "scenario": _with_scenario_flags(args, source.get("scenario", {})),
+                }
+            doc["source"] = source
+    return sweepmod.sweep_config_from_json(json.dumps(doc))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -379,7 +339,7 @@ def cmd_mitigate(args: argparse.Namespace) -> int:
     if args.out_dir is None:
         raise UsageError(f"--method {args.method} requires --out-dir")
     paths = _expand_inputs(args.inputs)
-    frames = _load_stack(paths)
+    frames = imageio.read_stack(paths)
     out_dir = Path(args.out_dir)
     # Same name as the input, in a format write_image takes (BMP in, PPM out).
     names = [p.stem + imageio.image_suffix(f.channels) for p, f in zip(paths, frames)]
@@ -468,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", help="also write an SVG chart here")
     p.add_argument("--capture-cmd", help="external capture command with {freq}/{amp}")
     p.add_argument("--capture-dir", help="directory the capture command fills")
-    p.add_argument("--capture-glob", default="im*")
+    p.add_argument("--capture-glob", help="image name pattern (default im*)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="extract landmarks from a sweep CSV")

@@ -59,7 +59,18 @@ def read_image(path: str | Path) -> Frame:
 
 
 def read_stack(paths) -> list[Frame]:
-    return [read_image(p) for p in paths]
+    """Load images that must share one geometry; a mismatch names the file."""
+    paths = list(paths)
+    frames: list[Frame] = []
+    for p in paths:
+        frame = read_image(p)
+        if frames and frame.pixels.shape != frames[0].pixels.shape:
+            (c, r, w), (c0, r0, w0) = frame.pixels.shape, frames[0].pixels.shape
+            raise ImageParseError(
+                f"{p}: dimensions {w}x{r}x{c} do not match {paths[0]} ({w0}x{r0}x{c0})"
+            )
+        frames.append(frame)
+    return frames
 
 
 def _read_pnm(data: bytes, path: Path) -> Frame:

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.ndimage import median_filter
 
 from . import physics
-from .sensor import Frame, quantize_dn
+from .sensor import Frame, quantize_dn, rc_attenuation
 
 __all__ = [
     "TuningMode",
@@ -84,12 +84,7 @@ def dark_reference_correct(
         )
     offsets = dark_pixels.astype(np.float64).mean(axis=2) - pedestal_dn
     corrected = frame.pixels.astype(np.float64) - offsets[:, :, None]
-    return Frame(
-        pixels=quantize_dn(corrected),
-        frame_index=frame.frame_index,
-        scenario_digest=frame.scenario_digest,
-        seed=frame.seed,
-    )
+    return Frame(pixels=quantize_dn(corrected), frame_index=frame.frame_index)
 
 
 def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
@@ -113,12 +108,7 @@ def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
     highpass = pixels - lowpass
     offsets = np.median(highpass, axis=2)
     corrected = pixels - offsets[:, :, None]
-    return Frame(
-        pixels=quantize_dn(corrected),
-        frame_index=frame.frame_index,
-        scenario_digest=frame.scenario_digest,
-        seed=frame.seed,
-    )
+    return Frame(pixels=quantize_dn(corrected), frame_index=frame.frame_index)
 
 
 def recommend_tuning(
@@ -135,8 +125,8 @@ def recommend_tuning(
     becomes a uniform frame shift); MAX_SEPARATION maximizes it. Ties
     resolve to the lower fps, then the lower frame length.
     """
-    if f_noise_hz <= 0:
-        raise ValueError(f"f_noise_hz must be positive, got {f_noise_hz}")
+    if not 0 < f_noise_hz < math.inf:
+        raise ValueError(f"f_noise_hz must be positive and finite, got {f_noise_hz}")
     fps_lo, fps_hi = fps_range
     if fps_lo <= 0 or fps_hi < fps_lo:
         raise ValueError(f"bad fps range {fps_range}")
@@ -151,9 +141,7 @@ def recommend_tuning(
 
     best: tuple[float, float, int] | None = None  # (alias, fps, frame_length)
     for frame_length in range(fl_lo, fl_hi + 1):
-        f_line = fps_grid * frame_length
-        r = np.mod(f_noise_hz, f_line)
-        alias = np.minimum(r, f_line - r)
+        alias = physics.fold_frequency(f_noise_hz, fps_grid * frame_length)
         idx = int(np.argmin(alias) if mode is TuningMode.SYNC else np.argmax(alias))
         candidate = (float(alias[idx]), float(fps_grid[idx]), frame_length)
         if best is None:
@@ -179,9 +167,8 @@ def recommend_tuning(
 
 def predict_filter_effect(freq_hz: float, cutoff_hz: float) -> float:
     """Amplitude ratio through a first-order RC low-pass at freq_hz."""
-    if freq_hz <= 0:
+    if not freq_hz > 0:
         raise ValueError(f"freq_hz must be positive, got {freq_hz}")
-    if cutoff_hz <= 0:
+    if not cutoff_hz > 0:
         raise ValueError(f"cutoff_hz must be positive, got {cutoff_hz}")
-    ratio = freq_hz / cutoff_hz
-    return 1.0 / math.sqrt(1.0 + ratio * ratio)
+    return rc_attenuation(freq_hz, cutoff_hz)[0]

@@ -39,10 +39,11 @@ directly visible in the output.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import numbers
+import sys
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -84,6 +85,37 @@ _TAG_FPN_PIXEL = 6
 _TAG_FPN_COLUMN = 7
 
 
+# Field annotation -> (what a value must be, test). Annotations are
+# strings here because of `from __future__ import annotations`.
+_FIELD_TYPES = {
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    # abs(v) <= max rejects nan, inf and an int too large for a float,
+    # where math.isfinite would raise OverflowError.
+    "float": (
+        "a finite number",
+        lambda v: isinstance(v, numbers.Real)
+        and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max,
+    ),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _check_field_types(config) -> None:
+    """Reject a config dataclass field whose value does not fit its bool,
+    int, float or str annotation. Integers fit float; None fits an
+    optional field."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind = f.type.removesuffix(" | None")
+        if kind not in _FIELD_TYPES or (value is None and kind != f.type):
+            continue
+        want, fits = _FIELD_TYPES[kind]
+        if not fits(value):
+            raise ValueError(f"{f.name} must be {want}, got {value!r}")
+
+
 class PhaseMode(str, Enum):
     """Supply phase handling across frames.
 
@@ -110,6 +142,7 @@ class SensorConfig:
     channels: int = 1
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
         if self.active_rows < 1:
@@ -154,6 +187,7 @@ class SupplyNoiseConfig:
     rc_cutoff_hz: float | None = None  # first-order low-pass ahead of the rail
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if self.frequency_hz < 0:
             raise ValueError(f"frequency_hz must be >= 0, got {self.frequency_hz}")
         if self.amplitude_vpp < 0:
@@ -177,6 +211,7 @@ class TemporalNoiseConfig:
     cds_enabled: bool = False
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if self.dark_signal_e < 0:
             raise ValueError(f"dark_signal_e must be >= 0, got {self.dark_signal_e}")
         if self.read_noise_dn < 0:
@@ -196,16 +231,17 @@ class SpatialNoiseConfig:
     prnu_fraction: float = 0.0  # gain sigma; must be 0 at 0 lux (see module doc)
 
     def __post_init__(self) -> None:
-        if self.dsnu_dn < 0:
-            raise ValueError(f"dsnu_dn must be >= 0, got {self.dsnu_dn}")
-        if self.column_fpn_dn < 0:
-            raise ValueError(f"column_fpn_dn must be >= 0, got {self.column_fpn_dn}")
         if self.prnu_fraction != 0:
             raise ValueError(
                 f"prnu_fraction must be 0, got {self.prnu_fraction}: illumination is "
                 "not modelled (captures are dark), so there is no photo signal for "
                 "PRNU to scale"
             )
+        _check_field_types(self)
+        if self.dsnu_dn < 0:
+            raise ValueError(f"dsnu_dn must be >= 0, got {self.dsnu_dn}")
+        if self.column_fpn_dn < 0:
+            raise ValueError(f"column_fpn_dn must be >= 0, got {self.column_fpn_dn}")
 
 
 @dataclass(frozen=True)
@@ -217,13 +253,9 @@ class SimScenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.seed) < 2**64:
+        _check_field_types(self)
+        if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-
-    def digest(self) -> str:
-        """Stable short hash of the fully resolved scenario."""
-        blob = scenario_to_json(self).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
 
 
 @dataclass
@@ -232,8 +264,6 @@ class Frame:
 
     pixels: np.ndarray  # (channels, rows, width)
     frame_index: int = 0
-    scenario_digest: str = ""
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.pixels.ndim != 3:
@@ -430,12 +460,7 @@ def simulate_frame(
 ) -> Frame:
     """Quantized capture of one frame."""
     analog = simulate_frame_analog(scenario, frame_index, fpn)
-    return Frame(
-        pixels=_quantize_in_place(analog),
-        frame_index=frame_index,
-        scenario_digest=scenario.digest(),
-        seed=scenario.seed,
-    )
+    return Frame(pixels=_quantize_in_place(analog), frame_index=frame_index)
 
 
 def simulate_stack(scenario: SimScenario, n_frames: int) -> list[Frame]:
@@ -477,5 +502,5 @@ def scenario_from_json(text: str) -> SimScenario:
         supply=build(SupplyNoiseConfig, "supply"),
         temporal=build(TemporalNoiseConfig, "temporal"),
         spatial=build(SpatialNoiseConfig, "spatial"),
-        seed=int(doc.get("seed", 0)),
+        seed=doc.get("seed", 0),
     )

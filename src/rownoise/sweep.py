@@ -24,7 +24,13 @@ import numpy as np
 
 from . import imageio, physics
 from .metric import ImageStack, row_noise
-from .sensor import SimScenario, scenario_from_json, scenario_to_json, simulate_stack
+from .sensor import (
+    SimScenario,
+    _check_field_types,
+    scenario_from_json,
+    scenario_to_json,
+    simulate_stack,
+)
 
 __all__ = [
     "SimulateSource",
@@ -80,6 +86,18 @@ class CaptureSource:
     image_dir: Path
     pattern: str = "im*"
 
+    def __post_init__(self) -> None:
+        _check_field_types(self)
+        if not isinstance(self.image_dir, (str, Path)):
+            raise ValueError(f"image_dir must be a path, got {self.image_dir!r}")
+        object.__setattr__(self, "image_dir", Path(self.image_dir))
+        try:
+            self.command.format(freq=0, amp=0.0)
+        except (AttributeError, IndexError, KeyError, ValueError) as exc:
+            raise ValueError(
+                f"capture command {self.command!r} takes only {{freq}} and {{amp}}: {exc!r}"
+            ) from exc
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -93,6 +111,7 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if self.start_hz <= 0:
             raise ValueError(f"start_hz must be positive, got {self.start_hz}")
         if self.end_hz < self.start_hz:
@@ -105,6 +124,8 @@ class SweepConfig:
             raise ValueError(f"frames_per_step must be >= 1, got {self.frames_per_step}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -457,24 +478,28 @@ def sweep_config_to_json(config: SweepConfig) -> str:
 
 
 def sweep_config_from_json(text: str) -> SweepConfig:
+    """Inverse of sweep_config_to_json. Missing fields take their defaults;
+    a malformed document raises ValueError."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("sweep config must be a JSON object")
-    src = doc.pop("source", {"mode": "simulate", "scenario": {}})
-    mode = src.get("mode", "simulate")
-    if mode == "capture":
-        source: SimulateSource | CaptureSource = CaptureSource(
-            command=src["command"],
-            image_dir=Path(src["image_dir"]),
-            pattern=src.get("pattern", "im*"),
-        )
-    elif mode == "simulate":
-        source = SimulateSource(
-            scenario=scenario_from_json(json.dumps(src.get("scenario", {})))
-        )
-    else:
-        raise ValueError(f"unknown sweep source mode {mode!r}")
+    src = doc.pop("source", {})
+    if not isinstance(src, dict):
+        raise ValueError("sweep source must be a JSON object")
+    mode = src.pop("mode", "simulate")
     try:
+        if mode == "capture":
+            missing = [key for key in ("command", "image_dir") if key not in src]
+            if missing:
+                raise ValueError(f"capture source needs {' and '.join(missing)}")
+            source: SimulateSource | CaptureSource = CaptureSource(**src)
+        elif mode == "simulate":
+            scenario = scenario_from_json(json.dumps(src.pop("scenario", {})))
+            if src:
+                raise ValueError(f"unknown simulate source keys: {sorted(src)}")
+            source = SimulateSource(scenario=scenario)
+        else:
+            raise ValueError(f"unknown sweep source mode {mode!r}")
         return SweepConfig(source=source, **doc)
     except TypeError as exc:
         raise ValueError(f"bad sweep config: {exc}") from exc

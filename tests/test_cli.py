@@ -1,15 +1,20 @@
 """End-to-end command line tests, driven through main() for speed with one
 subprocess smoke check of the module entry point."""
 
+import contextlib
+import io
 import json
 import math
 import shlex
 import struct
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rownoise.cli import main
 from rownoise.imageio import write_image
@@ -102,6 +107,14 @@ class TestSimulate:
     def test_invalid_scenario_value_is_usage_error(self, tmp_path):
         assert main(["simulate", "--pedestal", "900", "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--noise-freq", "nan", "--noise-amp", "1"], ["--fps", "inf"]]
+    )
+    def test_non_finite_flag_is_usage_error(self, tmp_path, capsys, flags):
+        assert main(["simulate", *SMALL_FLAGS, *flags, "--out-dir", str(tmp_path)]) == 2
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestAnalyze:
     def test_quiet_frames_print_zero(self, tmp_path, capsys):
@@ -131,6 +144,11 @@ class TestAnalyze:
 
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.pgm")]) == 1
+
+    def test_one_row_image_is_runtime_error(self, tmp_path, capsys):
+        write_pgm(tmp_path / "im1.pgm", [50])
+        assert main(["analyze", str(tmp_path / "im1.pgm")]) == 1
+        assert "im1.pgm" in capsys.readouterr().err
 
     def test_directory_without_images_is_runtime_error(self, tmp_path):
         assert main(["analyze", str(tmp_path)]) == 1
@@ -249,6 +267,217 @@ class TestSweepCli:
     def test_capture_cmd_requires_capture_dir(self, tmp_path):
         assert main(["sweep", "--capture-cmd", "true",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_unknown_capture_placeholder_is_usage_error(self, tmp_path, capsys):
+        assert main(["sweep", "--capture-cmd", "rig {hz}", "--capture-dir", str(tmp_path),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "{hz}" in capsys.readouterr().err
+
+    def test_capture_config_file_with_flag_override(self, tmp_path):
+        cmd, rig_dir = self.capture_rig(tmp_path)
+        cfg = tmp_path / "cap.json"
+        cfg.write_text(json.dumps({
+            "source": {"mode": "capture", "command": cmd, "image_dir": str(rig_dir),
+                       "pattern": "nothing*"},
+            "start_hz": 100, "end_hz": 200, "step_hz": 100,
+        }))
+        csv = tmp_path / "cap.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(csv)]) == 1
+        assert main(["sweep", "--config", str(cfg), "--capture-glob", "im*",
+                     "--out", str(csv)]) == 0
+        assert csv.read_text().splitlines()[1:] == ["100,0.0000", "200,0.0000"]
+
+
+class TestConfigDocuments:
+    """Malformed config files are usage errors: exit 2, one error line."""
+
+    def run(self, tmp_path, capsys, argv, doc):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        code = main([*argv, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return code
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"source": {"mode": "capture"}},
+            {"source": "simulate"},
+            {"source": {"mode": "simulate", "scenario": "x"}},
+            {"command": "sweep", "config": "x"},
+            {"source": {"mode": "bogus"}},
+        ],
+        ids=["capture_without_command", "source_not_object", "scenario_not_object",
+             "sidecar_config_not_object", "unknown_mode"],
+    )
+    def test_sweep(self, tmp_path, capsys, doc):
+        out = tmp_path / "x.csv"
+        assert self.run(tmp_path, capsys, ["sweep", "--out", str(out)], doc) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"scenario": "x"}, {"sensor": {"width": 64.5}}, {"sensor": 3}, {"seed": [1]},
+         {"sensor": {"width": 8, "active_rows": 4, "fps": 10**400}}],
+        ids=["sidecar_scenario_not_object", "float_width", "section_not_object",
+             "seed_not_integer", "integer_beyond_float_range"],
+    )
+    def test_simulate(self, tmp_path, capsys, doc):
+        out = tmp_path / "out"
+        assert self.run(tmp_path, capsys, ["simulate", "--out-dir", str(out)], doc) == 2
+        assert not out.exists()
+
+
+# Values that fit no field, or only some: wrong types, non-finite numbers,
+# negatives. No large finite number, so a document that parses stays tiny.
+BAD = [None, True, False, math.nan, math.inf, -math.inf, -1, "x", [1]]
+# In place of a whole section or document; {} would be a valid one that
+# falls back to the 1280x800 default sensor or the 1000-point default sweep.
+NOT_AN_OBJECT = st.sampled_from(BAD + [0.5])
+# In place of one field, where 0.5 is a float in an int field.
+JUNK = st.sampled_from(BAD + [0.5, {}])
+
+
+def mostly(valid, junk):
+    """valid about nine times in ten, so that whole documents often parse."""
+    return st.integers(0, 9).flatmap(lambda i: valid if i else junk)
+
+
+def field(valid):
+    return mostly(valid, JUNK)
+
+
+def section(required, optional):
+    return mostly(
+        st.fixed_dictionaries(
+            {k: field(v) for k, v in required.items()},
+            optional={k: field(v) for k, v in optional.items()},
+        ),
+        NOT_AN_OBJECT,
+    )
+
+
+FLOATS = st.floats(min_value=0.0, max_value=1e6)
+SCENARIO = st.fixed_dictionaries(
+    # Width and active rows are always given so that no document falls
+    # back to the 1280x800 default geometry.
+    {
+        "sensor": section(
+            {"width": st.sampled_from([1, 3, 8]), "active_rows": st.sampled_from([1, 2, 4])},
+            {
+                "optical_black_rows": st.integers(0, 2),
+                "blanking_rows": st.integers(0, 4),
+                "fps": st.floats(min_value=1.0, max_value=1000.0),
+                "pedestal_dn": st.floats(min_value=0.0, max_value=255.0),
+                "dn_per_volt": st.floats(min_value=1.0, max_value=100.0),
+                "channels": st.sampled_from([1, 3]),
+                "bit_depth": st.just(8),
+            },
+        ),
+    },
+    optional={
+        "supply": section({}, {
+            "frequency_hz": FLOATS, "amplitude_vpp": st.floats(0.0, 3.3),
+            "phase_rad": st.floats(-7.0, 7.0), "coupling_gain": st.floats(-2.0, 2.0),
+            "phase_mode": st.sampled_from(["continuous", "random_per_frame", "sideways"]),
+            "rc_cutoff_hz": st.one_of(st.none(), FLOATS),
+        }),
+        "temporal": section({}, {
+            "shot_enabled": st.booleans(), "dark_signal_e": st.floats(0.0, 100.0),
+            "read_noise_dn": st.floats(0.0, 10.0), "flicker_enabled": st.booleans(),
+            "flicker_scale_dn": st.floats(0.0, 10.0), "reset_enabled": st.booleans(),
+            "reset_temp_k": st.floats(1.0, 400.0), "reset_cap_f": st.floats(1e-16, 1e-12),
+            "cds_enabled": st.booleans(),
+        }),
+        "spatial": section({}, {
+            "dsnu_dn": st.floats(0.0, 5.0), "column_fpn_dn": st.floats(0.0, 5.0),
+            "prnu_fraction": st.sampled_from([0.0, 0.01]),
+        }),
+        "seed": field(st.integers(0, 2**64)),
+    },
+)
+SIMULATE_DOC = mostly(
+    st.one_of(
+        SCENARIO,
+        st.fixed_dictionaries(
+            {"command": st.just("simulate"), "scenario": mostly(SCENARIO, NOT_AN_OBJECT)},
+            optional={"frames": field(st.integers(1, 2))},
+        ),
+    ),
+    NOT_AN_OBJECT,
+)
+SOURCE = mostly(
+    st.fixed_dictionaries(
+        {"mode": st.just("simulate"), "scenario": mostly(SCENARIO, NOT_AN_OBJECT)}
+    ),
+    st.one_of(
+        st.fixed_dictionaries(
+            {
+                "mode": st.just("capture"),
+                "command": field(
+                    st.sampled_from(["true", "exit 3", "echo {freq} {amp}", "echo {hz}"])
+                ),
+                "image_dir": field(st.just("missing-capture-dir")),
+            },
+            optional={"pattern": field(st.just("im*"))},
+        ),
+        st.fixed_dictionaries({"mode": JUNK}),
+        NOT_AN_OBJECT,
+    ),
+)
+# start, end and step are always given and give at most 2 points when valid.
+RANGE_JUNK = st.sampled_from(BAD)
+SWEEP_CONFIG = st.fixed_dictionaries(
+    {
+        "start_hz": mostly(st.sampled_from([100.0, 150]), RANGE_JUNK),
+        "end_hz": mostly(st.sampled_from([150, 200.0]), RANGE_JUNK),
+        "step_hz": mostly(st.sampled_from([100.0, 1000]), RANGE_JUNK),
+        "source": SOURCE,
+    },
+    optional={
+        "amplitude_vpp": field(st.floats(0.0, 3.3)),
+        "frames_per_step": field(st.integers(1, 2)),
+        "seed": field(st.integers(0, 2**32)),
+        "workers": field(st.integers(1, 2)),
+    },
+)
+SWEEP_DOC = mostly(
+    st.one_of(
+        SWEEP_CONFIG,
+        st.fixed_dictionaries(
+            {"command": st.just("sweep"), "config": mostly(SWEEP_CONFIG, NOT_AN_OBJECT)}
+        ),
+    ),
+    NOT_AN_OBJECT,
+)
+
+
+def run_config(argv: list[str], doc, work: Path) -> None:
+    """main() on a config document: exit 0, 1 or 2 and no traceback."""
+    cfg = work / "config.json"
+    cfg.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([*argv, "--config", str(cfg)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().startswith("error: ")
+
+
+class TestConfigProperties:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(SIMULATE_DOC)
+    def test_simulate_config(self, doc):
+        with tempfile.TemporaryDirectory() as work:
+            run_config(["simulate", "--out-dir", str(Path(work) / "out")], doc, Path(work))
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(SWEEP_DOC)
+    def test_sweep_config(self, doc):
+        with tempfile.TemporaryDirectory() as work:
+            run_config(["sweep", "--out", str(Path(work) / "x.csv")], doc, Path(work))
 
 
 def bump_csv(tmp_path):

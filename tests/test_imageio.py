@@ -180,3 +180,9 @@ class TestReadStack:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_stack([tmp_path / "nope.pgm"])
+
+    def test_mismatched_geometry_names_the_file(self, make_frame, tmp_path):
+        write_image(make_frame(np.zeros((1, 2, 2), dtype=np.uint8)), tmp_path / "im1.pgm")
+        write_image(make_frame(np.zeros((1, 3, 2), dtype=np.uint8)), tmp_path / "im2.pgm")
+        with pytest.raises(ImageParseError, match="im2.pgm: dimensions 2x3x1"):
+            read_stack([tmp_path / "im1.pgm", tmp_path / "im2.pgm"])

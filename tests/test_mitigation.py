@@ -22,6 +22,7 @@ from rownoise.sensor import (
     SimScenario,
     SupplyNoiseConfig,
     TemporalNoiseConfig,
+    rc_attenuation,
     simulate_frame,
 )
 
@@ -188,6 +189,9 @@ class TestTuning:
             (100.0, (31.0, 29.0), (800, 800)),
             (100.0, (29.0, 31.0), (800, 700)),
             (100.0, (29.0, 31.0), (0, 800)),
+            (math.inf, (29.0, 31.0), (800, 800)),
+            (math.nan, (29.0, 31.0), (800, 800)),
+            (100.0, (29.0, math.inf), (800, 800)),
         ],
     )
     def test_validation(self, args):
@@ -243,3 +247,7 @@ class TestFilterPrediction:
     def test_domain(self, f, fc):
         with pytest.raises(ValueError):
             predict_filter_effect(f, fc)
+
+    def test_is_the_simulator_rc_gain(self):
+        for f, fc in [(1000.0, 1000.0), (126_000.0, 200_000.0), (3.0, 7.0)]:
+            assert predict_filter_effect(f, fc) == rc_attenuation(f, fc)[0]

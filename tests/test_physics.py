@@ -1,115 +1,26 @@
-"""Tests for the noise-floor formulas and the alias/band-height model."""
+"""Tests for kTC reset noise, the line rate, the frequency grid and the
+alias/band-height model."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from rownoise.physics import (
-    CONSTANTS,
-    ELEMENTARY_CHARGE_C,
+    BOLTZMANN_K,
     UNIFORM,
     alias_and_band_height,
-    can_excite_silicon,
-    fill_factor,
-    flicker_psd,
+    fold_frequency,
     frequency_grid,
     line_frequency,
-    photon_energy_ev,
-    prnu_sigma,
-    quantization_noise,
     reset_noise_v,
-    shot_noise_sigma,
-    snr_max,
-    thermal_noise_psd,
-    thermal_noise_v,
 )
 
 
 class TestConstants:
     def test_values(self):
-        assert CONSTANTS.boltzmann_k == 1.380649e-23
-        assert CONSTANTS.planck_h == 6.62607015e-34
-        assert CONSTANTS.light_speed_c == 2.99792458e8
-        assert CONSTANTS.silicon_bandgap_ev == 1.1
-        assert ELEMENTARY_CHARGE_C == 1.602176634e-19
-
-    def test_hc_product_is_consistent(self):
-        # hc in eV*nm must agree with the product of the base constants.
-        derived = (
-            CONSTANTS.planck_h * CONSTANTS.light_speed_c / ELEMENTARY_CHARGE_C * 1e9
-        )
-        assert abs(derived - CONSTANTS.hc_ev_nm) / CONSTANTS.hc_ev_nm < 1e-6
-
-    def test_frozen(self):
-        with pytest.raises(Exception):
-            CONSTANTS.boltzmann_k = 0.0
-
-
-class TestPhotonEnergy:
-    def test_1100nm(self):
-        assert photon_energy_ev(1100.0) == pytest.approx(1.1271, abs=1e-4)
-        assert can_excite_silicon(1100.0) is True
-
-    def test_1200nm(self):
-        assert photon_energy_ev(1200.0) == pytest.approx(1.0332, abs=1e-4)
-        assert can_excite_silicon(1200.0) is False
-
-    def test_exact_two_ev(self):
-        assert photon_energy_ev(619.920992) == 2.0
-
-    @pytest.mark.parametrize("bad", [0.0, -5.0])
-    def test_nonpositive_wavelength_rejected(self, bad):
-        with pytest.raises(ValueError):
-            photon_energy_ev(bad)
-
-    @given(st.floats(min_value=1.0, max_value=1e7))
-    def test_energy_positive_and_decreasing(self, wavelength):
-        e1 = photon_energy_ev(wavelength)
-        e2 = photon_energy_ev(wavelength * 2.0)
-        assert e1 > 0
-        assert e2 == e1 / 2.0
-
-
-class TestFillFactor:
-    def test_full(self):
-        assert fill_factor(4.0, 4.0) == 100.0
-
-    def test_zero(self):
-        assert fill_factor(0.0, 4.0) == 0.0
-
-    def test_partial(self):
-        assert fill_factor(3.0, 4.0) == 75.0
-
-    def test_photosensitive_larger_than_pixel_rejected(self):
-        with pytest.raises(ValueError):
-            fill_factor(5.0, 4.0)
-
-    def test_bad_areas_rejected(self):
-        with pytest.raises(ValueError):
-            fill_factor(1.0, 0.0)
-        with pytest.raises(ValueError):
-            fill_factor(-1.0, 4.0)
-
-
-class TestShotNoise:
-    def test_examples(self):
-        assert shot_noise_sigma(100.0) == 10.0
-        assert shot_noise_sigma(0.0) == 0.0
-        assert shot_noise_sigma(2.0) == pytest.approx(1.4142136, abs=1e-6)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            shot_noise_sigma(-1.0)
-
-    def test_snr_examples(self):
-        assert snr_max(10000.0) == 100.0
-        assert snr_max(1.0) == 1.0
-        assert snr_max(5000.0) == pytest.approx(70.7107, abs=1e-4)
-
-    @given(st.floats(min_value=0.0, max_value=1e12))
-    def test_sigma_is_sqrt(self, signal):
-        assert shot_noise_sigma(signal) == math.sqrt(signal)
+        assert BOLTZMANN_K == 1.380649e-23
 
 
 class TestResetNoise:
@@ -135,91 +46,6 @@ class TestResetNoise:
         assert reset_noise_v(4.0 * temp, cap) == 2.0 * reset_noise_v(temp, cap)
 
 
-class TestThermalNoise:
-    def test_rms_example(self):
-        assert thermal_noise_v(300.0, 1e3, 1e6) == pytest.approx(4.070e-6, abs=1e-9)
-
-    def test_psd_example(self):
-        assert thermal_noise_psd(300.0, 1e3) == pytest.approx(1.65678e-17, rel=1e-5)
-
-    def test_quadruple_bandwidth_doubles_rms(self):
-        assert thermal_noise_v(300.0, 1e3, 4e6) == 2.0 * thermal_noise_v(300.0, 1e3, 1e6)
-
-    @given(
-        st.floats(min_value=1.0, max_value=2000.0),
-        st.floats(min_value=1.0, max_value=1e9),
-        st.floats(min_value=1.0, max_value=1e12),
-    )
-    def test_bandwidth_scaling_law(self, temp, resistance, bandwidth):
-        wide = thermal_noise_v(temp, resistance, 4.0 * bandwidth)
-        assert wide == 2.0 * thermal_noise_v(temp, resistance, bandwidth)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            thermal_noise_v(0.0, 1e3, 1e6)
-        with pytest.raises(ValueError):
-            thermal_noise_v(300.0, -1e3, 1e6)
-        with pytest.raises(ValueError):
-            thermal_noise_v(300.0, 1e3, -1.0)
-
-
-class TestFlickerNoise:
-    def test_example(self):
-        assert flicker_psd(1e-24, 5e-3, 1.0, 1.0, 10.0) == pytest.approx(2e-23, rel=1e-9)
-
-    def test_double_frequency_halves(self):
-        base = flicker_psd(1e-24, 5e-3, 1.0, 1.0, 10.0)
-        assert flicker_psd(1e-24, 5e-3, 1.0, 1.0, 20.0) == base / 2.0
-
-    def test_double_area_halves(self):
-        base = flicker_psd(1e-24, 5e-3, 1.0, 1.0, 10.0)
-        assert flicker_psd(1e-24, 5e-3, 2.0, 1.0, 10.0) == base / 2.0
-        assert flicker_psd(1e-24, 5e-3, 1.0, 2.0, 10.0) == base / 2.0
-
-    @given(
-        st.floats(min_value=1e-27, max_value=1e-20),
-        st.floats(min_value=1e-4, max_value=1e-1),
-        st.floats(min_value=0.1, max_value=100.0),
-        st.floats(min_value=0.1, max_value=100.0),
-        st.floats(min_value=0.01, max_value=1e8),
-    )
-    def test_inverse_frequency_law(self, kf, cox, w, length, f):
-        assert flicker_psd(kf, cox, w, length, 2.0 * f) == flicker_psd(
-            kf, cox, w, length, f
-        ) / 2.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            flicker_psd(1e-24, 5e-3, 1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            flicker_psd(1e-24, 0.0, 1.0, 1.0, 10.0)
-
-
-class TestQuantizationNoise:
-    def test_unit_step(self):
-        assert quantization_noise(1.0) == pytest.approx(0.2886751, abs=1e-7)
-
-    def test_8bit_over_3v3(self):
-        assert quantization_noise(3.3 / 255.0) == pytest.approx(0.003736, abs=1e-6)
-
-    def test_zero_step_rejected(self):
-        with pytest.raises(ValueError):
-            quantization_noise(0.0)
-
-
-class TestPrnu:
-    def test_examples(self):
-        assert prnu_sigma(0.01, 1000.0) == pytest.approx(10.0)
-        assert prnu_sigma(0.0, 12345.0) == 0.0
-        assert prnu_sigma(0.005, 200.0) == pytest.approx(1.0)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            prnu_sigma(-0.01, 100.0)
-        with pytest.raises(ValueError):
-            prnu_sigma(0.01, -100.0)
-
-
 class TestLineFrequency:
     def test_examples(self):
         assert line_frequency(30.0, 812) == 24360.0
@@ -233,6 +59,8 @@ class TestLineFrequency:
             line_frequency(30.0, 0)
         with pytest.raises(ValueError):
             line_frequency(30.0, 800.5)
+        with pytest.raises(ValueError):
+            line_frequency(math.inf, 800)
 
 
 class TestFrequencyGrid:
@@ -247,7 +75,10 @@ class TestFrequencyGrid:
     def test_single_point(self):
         assert frequency_grid(4110.0, 4110.0, 1000.0) == [4110.0]
 
-    @pytest.mark.parametrize("args", [(1.0, 2.0, 0.0), (1.0, 2.0, -1.0), (2.0, 1.0, 0.5)])
+    @pytest.mark.parametrize(
+        "args",
+        [(1.0, 2.0, 0.0), (1.0, 2.0, -1.0), (2.0, 1.0, 0.5), (1.0, math.inf, 0.5)],
+    )
     def test_validation(self, args):
         with pytest.raises(ValueError):
             frequency_grid(*args)
@@ -275,6 +106,20 @@ class TestAliasModel:
             alias_and_band_height(1000.0, 0.0)
         with pytest.raises(ValueError):
             alias_and_band_height(-1.0, 24000.0)
+
+    @pytest.mark.parametrize("f_noise", [math.inf, math.nan])
+    def test_non_finite_noise_rejected(self, f_noise):
+        with pytest.raises(ValueError):
+            alias_and_band_height(f_noise, 24000.0)
+
+    def test_fold_matches_mod_on_a_tune_grid(self):
+        # Positive inputs: fmod and mod agree bit for bit, and the array
+        # fold agrees with the scalar alias model point by point.
+        f_line = np.array(frequency_grid(29.0, 31.0, 0.01)) * 800
+        r = np.mod(24_000.0, f_line)
+        folded = fold_frequency(24_000.0, f_line)
+        assert np.array_equal(folded, np.minimum(r, f_line - r))
+        assert [alias_and_band_height(24_000.0, f).alias_hz for f in f_line] == list(folded)
 
     @given(
         st.integers(min_value=1, max_value=10**6),

@@ -61,6 +61,15 @@ class TestConfigs:
             {"pedestal_dn": 300.0},
             {"dn_per_volt": 0.0},
             {"channels": 2},
+            {"width": 64.5},
+            {"active_rows": 4.0},
+            {"optical_black_rows": "2"},
+            {"blanking_rows": True},
+            {"channels": 1.0},
+            {"fps": math.inf},
+            {"fps": math.nan},
+            {"pedestal_dn": "16"},
+            {"fps": 10**400},
         ],
     )
     def test_sensor_validation(self, kwargs):
@@ -73,6 +82,11 @@ class TestConfigs:
             {"frequency_hz": -1.0},
             {"amplitude_vpp": -0.1},
             {"rc_cutoff_hz": 0.0},
+            {"frequency_hz": math.nan},
+            {"amplitude_vpp": math.inf},
+            {"phase_rad": math.nan},
+            {"coupling_gain": -math.inf},
+            {"rc_cutoff_hz": math.inf},
         ],
     )
     def test_supply_validation(self, kwargs):
@@ -91,13 +105,24 @@ class TestConfigs:
             {"flicker_scale_dn": -1.0},
             {"reset_temp_k": 0.0},
             {"reset_cap_f": 0.0},
+            {"read_noise_dn": math.nan},
+            {"reset_temp_k": math.inf},
+            {"shot_enabled": "false"},
         ],
     )
     def test_temporal_validation(self, kwargs):
         with pytest.raises(ValueError):
             TemporalNoiseConfig(**kwargs)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_integers_fit_float_fields_and_null_cutoff_stays_valid(self):
+        sc = scenario_from_json(
+            '{"sensor": {"fps": 30, "pedestal_dn": 16},'
+            ' "supply": {"frequency_hz": 1000, "rc_cutoff_hz": null}}'
+        )
+        assert sc.sensor.fps == 30.0
+        assert sc.supply.rc_cutoff_hz is None
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
     def test_seed_range(self, seed):
         with pytest.raises(ValueError):
             SimScenario(seed=seed)
@@ -423,8 +448,3 @@ class TestScenarioJson:
     def test_non_object_section_rejected(self):
         with pytest.raises(ValueError):
             scenario_from_json('{"sensor": 3}')
-
-    def test_digest_tracks_content(self):
-        a, b = SimScenario(seed=0), SimScenario(seed=1)
-        assert a.digest() == SimScenario(seed=0).digest()
-        assert a.digest() != b.digest()

@@ -78,6 +78,11 @@ class TestGrid:
             {"frames_per_step": 0},
             {"workers": 0},
             {"amplitude_vpp": -1.0},
+            {"frames_per_step": 1.5},
+            {"workers": 2.0},
+            {"end_hz": math.inf},
+            {"step_hz": math.nan},
+            {"seed": -1},
         ],
     )
     def test_config_validation(self, kwargs):
@@ -216,6 +221,11 @@ class TestCaptureSource:
             run_sweep(cfg)
         assert "200" in str(err.value)
         assert err.value.partial.points == [(100.0, 0.0)]
+
+    @pytest.mark.parametrize("command", ["rig --hz {hz}", "rig {0}", "rig {freq", 5])
+    def test_bad_command_template_rejected(self, tmp_path, command):
+        with pytest.raises(ValueError):
+            CaptureSource(command=command, image_dir=tmp_path)
 
     def test_no_images_is_an_error(self, tmp_path):
         command, out = capture_setup(tmp_path)
@@ -423,3 +433,21 @@ class TestSweepConfigJson:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             sweep_config_from_json('{"start_hzz": 100}')
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '[]',
+            '{"source": "simulate"}',
+            '{"source": {"mode": "capture"}}',
+            '{"source": {"mode": "capture", "command": "rig"}}',
+            '{"source": {"mode": "capture", "command": "rig", "image_dir": 3}}',
+            '{"source": {"mode": "simulate", "scenario": "x"}}',
+            '{"source": {"mode": "simulate", "scenario": {}, "pattern": "im*"}}',
+            '{"source": {"mode": ["capture"]}}',
+            '{"frames_per_step": 2.5}',
+        ],
+    )
+    def test_malformed_document_rejected(self, doc):
+        with pytest.raises(ValueError):
+            sweep_config_from_json(doc)
