@@ -22,6 +22,14 @@ class TestConstants:
     def test_values(self):
         assert BOLTZMANN_K == 1.380649e-23
 
+    def test_frozen(self):
+        # UNIFORM reaches callers inside an AliasResult, which cannot be
+        # altered after the fact.
+        result = alias_and_band_height(120.0, 60.0)
+        assert result.band_height_rows == UNIFORM and math.isinf(UNIFORM)
+        with pytest.raises(Exception):
+            result.band_height_rows = 0.0
+
 
 class TestResetNoise:
     def test_room_temperature_example(self):
