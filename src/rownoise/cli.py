@@ -2,11 +2,11 @@
 
 One subcommand per workflow: simulate captures, analyze images, sweep a
 disturbance band, report on a sweep CSV, mitigate banding in images,
-predict alias placement. Flags map onto the config dataclasses; a JSON
-config file can seed any simulate or sweep run and explicit flags
-override it. Every run that writes files also writes a sidecar JSON
-echoing the fully resolved configuration, seed included, so the run can
-be reproduced from the sidecar alone.
+predict alias placement. Each config flag's dest is its dotted path in
+the scenario or sweep document; a JSON config file can seed any simulate
+or sweep run and explicit flags override it. Every run that writes files
+also writes a sidecar JSON echoing the fully resolved configuration,
+seed included, so the run can be reproduced from the sidecar alone.
 
 Exit codes: 0 success, 1 runtime or I/O failure, 2 usage or config
 error. All numeric output is locale-independent.
@@ -19,11 +19,12 @@ import json
 import math
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 from . import imageio, mitigation, physics, sweep as sweepmod
 from .metric import ImageStack, row_noise
-from .sensor import PhaseMode, scenario_from_json, scenario_to_json, simulate_stack
+from .sensor import PhaseMode, SimScenario, scenario_from_json, scenario_to_json, simulate_stack
 
 __all__ = ["main"]
 
@@ -34,107 +35,79 @@ class UsageError(ValueError):
     pass
 
 
-# CLI flag -> (scenario section, field). dest names use underscores.
-_SCENARIO_FLAGS = {
-    "width": ("sensor", "width"),
-    "active_rows": ("sensor", "active_rows"),
-    "ob_rows": ("sensor", "optical_black_rows"),
-    "blanking_rows": ("sensor", "blanking_rows"),
-    "fps": ("sensor", "fps"),
-    "pedestal": ("sensor", "pedestal_dn"),
-    "dn_per_volt": ("sensor", "dn_per_volt"),
-    "channels": ("sensor", "channels"),
-    "noise_freq": ("supply", "frequency_hz"),
-    "noise_amp": ("supply", "amplitude_vpp"),
-    "noise_phase": ("supply", "phase_rad"),
-    "coupling_gain": ("supply", "coupling_gain"),
-    "phase_mode": ("supply", "phase_mode"),
-    "rc_cutoff": ("supply", "rc_cutoff_hz"),
-    "shot": ("temporal", "shot_enabled"),
-    "dark_signal_e": ("temporal", "dark_signal_e"),
-    "read_noise": ("temporal", "read_noise_dn"),
-    "flicker": ("temporal", "flicker_enabled"),
-    "flicker_scale": ("temporal", "flicker_scale_dn"),
-    "reset": ("temporal", "reset_enabled"),
-    "reset_temp": ("temporal", "reset_temp_k"),
-    "reset_cap": ("temporal", "reset_cap_f"),
-    "cds": ("temporal", "cds_enabled"),
-    "dsnu": ("spatial", "dsnu_dn"),
-    "column_fpn": ("spatial", "column_fpn_dn"),
-    "prnu": ("spatial", "prnu_fraction"),
-}
-# CLI flag -> sweep config field, and -> capture source field.
-_SWEEP_FLAGS = {
-    "start": "start_hz",
-    "end": "end_hz",
-    "step": "step_hz",
-    "amp": "amplitude_vpp",
-    "frames_per_step": "frames_per_step",
-    "seed": "seed",
-    "workers": "workers",
-}
-_CAPTURE_FLAGS = {"capture_cmd": "command", "capture_dir": "image_dir", "capture_glob": "pattern"}
+def _flag(group, flag: str, dest: str, **kw) -> None:
+    """Declare a flag whose dest is its dotted path in the config document.
+    The metavar stays the flag name, as it would be without the dest."""
+    if "choices" not in kw and "action" not in kw:
+        kw["metavar"] = flag[2:].replace("-", "_").upper()
+    group.add_argument(flag, dest=dest, **kw)
 
 
-def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
+def _add_scenario_flags(p: argparse.ArgumentParser, at: str = "") -> None:
+    """The scenario flags, with dests under the document path `at`."""
+
+    def add(group, flag: str, path: str, **kw) -> None:
+        _flag(group, flag, at + path, **kw)
+
     g = p.add_argument_group("sensor geometry and timing")
-    g.add_argument("--width", type=int)
-    g.add_argument("--active-rows", type=int)
-    g.add_argument("--ob-rows", type=int, help="optical black rows")
-    g.add_argument("--blanking-rows", type=int)
-    g.add_argument("--fps", type=float)
-    g.add_argument("--pedestal", type=float, help="dark level in DN")
-    g.add_argument("--dn-per-volt", type=float)
-    g.add_argument("--channels", type=int, choices=(1, 3))
+    add(g, "--width", "sensor.width", type=int)
+    add(g, "--active-rows", "sensor.active_rows", type=int)
+    add(g, "--ob-rows", "sensor.optical_black_rows", type=int, help="optical black rows")
+    add(g, "--blanking-rows", "sensor.blanking_rows", type=int)
+    add(g, "--fps", "sensor.fps", type=float)
+    add(g, "--pedestal", "sensor.pedestal_dn", type=float, help="dark level in DN")
+    add(g, "--dn-per-volt", "sensor.dn_per_volt", type=float)
+    add(g, "--channels", "sensor.channels", type=int, choices=(1, 3))
 
     s = p.add_argument_group("supply disturbance")
-    s.add_argument("--noise-freq", type=float, help="Hz")
-    s.add_argument("--noise-amp", type=float, help="Vpp")
-    s.add_argument("--noise-phase", type=float, help="radians")
-    s.add_argument("--coupling-gain", type=float)
-    s.add_argument("--phase-mode", choices=[m.value for m in PhaseMode])
-    s.add_argument("--rc-cutoff", type=float, help="supply filter cutoff, Hz")
+    add(s, "--noise-freq", "supply.frequency_hz", type=float, help="Hz")
+    add(s, "--noise-amp", "supply.amplitude_vpp", type=float, help="Vpp")
+    add(s, "--noise-phase", "supply.phase_rad", type=float, help="radians")
+    add(s, "--coupling-gain", "supply.coupling_gain", type=float)
+    add(s, "--phase-mode", "supply.phase_mode", choices=[m.value for m in PhaseMode])
+    add(s, "--rc-cutoff", "supply.rc_cutoff_hz", type=float, help="supply filter cutoff, Hz")
 
     t = p.add_argument_group("temporal noise")
-    t.add_argument("--shot", action=argparse.BooleanOptionalAction, default=None)
-    t.add_argument("--dark-signal-e", type=float, help="mean dark electrons")
-    t.add_argument("--read-noise", type=float, help="DN rms")
-    t.add_argument("--flicker", action=argparse.BooleanOptionalAction, default=None)
-    t.add_argument("--flicker-scale", type=float, help="DN")
-    t.add_argument("--reset", action=argparse.BooleanOptionalAction, default=None)
-    t.add_argument("--reset-temp", type=float, help="K")
-    t.add_argument("--reset-cap", type=float, help="F")
-    t.add_argument("--cds", action=argparse.BooleanOptionalAction, default=None)
+    switch = argparse.BooleanOptionalAction
+    add(t, "--shot", "temporal.shot_enabled", action=switch)
+    add(t, "--dark-signal-e", "temporal.dark_signal_e", type=float, help="mean dark electrons")
+    add(t, "--read-noise", "temporal.read_noise_dn", type=float, help="DN rms")
+    add(t, "--flicker", "temporal.flicker_enabled", action=switch)
+    add(t, "--flicker-scale", "temporal.flicker_scale_dn", type=float, help="DN")
+    add(t, "--reset", "temporal.reset_enabled", action=switch)
+    add(t, "--reset-temp", "temporal.reset_temp_k", type=float, help="K")
+    add(t, "--reset-cap", "temporal.reset_cap_f", type=float, help="F")
+    add(t, "--cds", "temporal.cds_enabled", action=switch)
 
     sp = p.add_argument_group("spatial noise")
-    sp.add_argument("--dsnu", type=float, help="per-pixel offset sigma, DN")
-    sp.add_argument("--column-fpn", type=float, help="per-column offset sigma, DN")
-    sp.add_argument(
-        "--prnu", type=float, help="gain sigma, fraction; only 0, as illumination is not modelled"
-    )
+    add(sp, "--dsnu", "spatial.dsnu_dn", type=float, help="per-pixel offset sigma, DN")
+    add(sp, "--column-fpn", "spatial.column_fpn_dn", type=float,
+        help="per-column offset sigma, DN")
+    add(sp, "--prnu", "spatial.prnu_fraction", type=float,
+        help="gain sigma, fraction; only 0, as illumination is not modelled")
 
+    # The seed is a top-level field of both the scenario and the sweep document.
     p.add_argument("--seed", type=int)
 
 
-def _given(args: argparse.Namespace, flags: dict) -> dict:
-    """The flags given on the command line, keyed by document field."""
-    given = {key: getattr(args, dest) for dest, key in flags.items()}
-    return {key: value for key, value in given.items() if value is not None}
-
-
-def _with_scenario_flags(args: argparse.Namespace, base):
-    """The scenario document base with the scenario flags merged in. A
-    document or section that is not an object stays as it is, for the
-    parser to reject."""
-    if not isinstance(base, dict):
-        return base
-    doc = dict(base)
-    for dest, (section, field) in _SCENARIO_FLAGS.items():
-        value, part = getattr(args, dest), doc.get(section, {})
-        if value is not None and isinstance(part, dict):
-            doc[section] = {**part, field: value}
-    if args.seed is not None:
-        doc["seed"] = args.seed
+def _merge_flags(args: argparse.Namespace, doc, root):
+    """doc with every given flag whose dest path starts at a field of the
+    dataclass root set at that path. A document, or a part of the path,
+    that is not an object stays as it is, for the parser to reject."""
+    if not isinstance(doc, dict):
+        return doc
+    names = {f.name for f in fields(root)}
+    for dest, value in vars(args).items():
+        path = dest.split(".")
+        if value is None or path[0] not in names:
+            continue
+        part = doc
+        for name in path[:-1]:
+            part = part.setdefault(name, {})
+            if not isinstance(part, dict):
+                break
+        else:
+            part[path[-1]] = value
     return doc
 
 
@@ -173,7 +146,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if isinstance(doc, dict) and "scenario" in doc:  # a previous run's sidecar
         n = doc.get("frames", n)
         doc = doc["scenario"]
-    scenario = scenario_from_json(json.dumps(_with_scenario_flags(args, doc)))
+    scenario = scenario_from_json(json.dumps(_merge_flags(args, doc, SimScenario)))
     if args.frames is not None:
         n = args.frames
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -230,24 +203,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _sweep_config_from_args(args: argparse.Namespace) -> sweepmod.SweepConfig:
     """Merge the flags into the config file (or sweep sidecar) and parse
-    the result as one sweep document; flags override the file."""
+    the result as one sweep document; flags override the file. A flag the
+    source does not take reaches the parser as an unknown key."""
     doc = json.loads(Path(args.config).read_text()) if args.config else {}
     if isinstance(doc, dict) and doc.get("command") == "sweep" and "config" in doc:
         doc = doc["config"]  # a previous run's sidecar
-    if isinstance(doc, dict):
-        doc = {**doc, **_given(args, _SWEEP_FLAGS)}
-        source = doc.get("source", {})
-        if isinstance(source, dict):
-            if args.capture_cmd is not None and source.get("mode") != "capture":
-                source = {"mode": "capture"}
-            if source.get("mode") == "capture":
-                source = {**source, **_given(args, _CAPTURE_FLAGS)}
-            else:
-                source = {
-                    **source,
-                    "scenario": _with_scenario_flags(args, source.get("scenario", {})),
-                }
-            doc["source"] = source
+    if getattr(args, "source.command") is not None:  # --capture-cmd
+        setattr(args, "source.mode", "capture")
+    doc = _merge_flags(args, doc, sweepmod.SweepConfig)
     return sweepmod.sweep_config_from_json(json.dumps(doc))
 
 
@@ -312,14 +275,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_mitigate(args: argparse.Namespace) -> int:
     if args.method == "tune":
-        needed = {
-            "--noise-freq": args.noise_freq,
-            "--fps-min": args.fps_min,
-            "--fps-max": args.fps_max,
-            "--frame-length-min": args.frame_length_min,
-            "--frame-length-max": args.frame_length_max,
-        }
-        missing = [flag for flag, value in needed.items() if value is None]
+        needed = ("noise_freq", "fps_min", "fps_max", "frame_length_min", "frame_length_max")
+        missing = ["--" + dest.replace("_", "-") for dest in needed if getattr(args, dest) is None]
         if missing:
             raise UsageError(f"--method tune requires {', '.join(missing)}")
         rec = mitigation.recommend_tuning(
@@ -379,18 +336,16 @@ def _band_text(band_rows: float) -> str:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    try:
-        f_line = physics.line_frequency(args.fps, args.frame_length)
-        alias = physics.alias_and_band_height(args.noise_freq, f_line)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    print(
-        f"alias {_fmt_num(alias.alias_hz)} Hz, band height "
-        f"{_band_text(alias.band_height_rows)}"
-    )
+    # Everything is computed before anything is printed, so a domain
+    # error (exit 2) leaves stdout empty.
+    f_line = physics.line_frequency(args.fps, args.frame_length)
+    alias = physics.alias_and_band_height(args.noise_freq, f_line)
+    band = _band_text(alias.band_height_rows)
+    lines = [f"alias {_fmt_num(alias.alias_hz)} Hz, band height {band}"]
     if args.rc_cutoff is not None:
         att = mitigation.predict_filter_effect(args.noise_freq, args.rc_cutoff)
-        print(f"rc attenuation {att:.4f}")
+        lines.append(f"rc attenuation {att:.4f}")
+    print("\n".join(lines))
     return 0
 
 
@@ -416,19 +371,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="characterize row noise over a frequency band")
-    _add_scenario_flags(p)
+    _add_scenario_flags(p, at="source.scenario.")
     p.add_argument("--config", help="sweep config JSON (or a sweep sidecar)")
-    p.add_argument("--start", type=float, help="Hz")
-    p.add_argument("--end", type=float, help="Hz")
-    p.add_argument("--step", type=float, help="Hz")
-    p.add_argument("--amp", type=float, help="Vpp")
+    _flag(p, "--start", "start_hz", type=float, help="Hz")
+    _flag(p, "--end", "end_hz", type=float, help="Hz")
+    _flag(p, "--step", "step_hz", type=float, help="Hz")
+    _flag(p, "--amp", "amplitude_vpp", type=float, help="Vpp")
     p.add_argument("--frames-per-step", type=int)
     p.add_argument("--workers", type=int)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--plot", help="also write an SVG chart here")
-    p.add_argument("--capture-cmd", help="external capture command with {freq}/{amp}")
-    p.add_argument("--capture-dir", help="directory the capture command fills")
-    p.add_argument("--capture-glob", help="image name pattern (default im*)")
+    _flag(p, "--capture-cmd", "source.command",
+          help="external capture command with {freq}/{amp}")
+    _flag(p, "--capture-dir", "source.image_dir", help="directory the capture command fills")
+    _flag(p, "--capture-glob", "source.pattern", help="image name pattern (default im*)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="extract landmarks from a sweep CSV")

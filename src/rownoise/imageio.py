@@ -1,7 +1,9 @@
 """Image file codecs: binary PGM/PPM writing, PGM/PPM/BMP reading.
 
 Only the formats the capture rigs actually produce. PGM (P5) and PPM
-(P6) are written with maxval 255, rows top-down, no comments. Readers
+(P6) are written and read with maxval 255 only, rows top-down; the
+writer emits no comments. Samples are taken as full-range 8-bit DN, so a
+file with any other maxval is rejected rather than misread. Readers
 additionally accept uncompressed 24-bit BMP, normalizing its bottom-up
 row order and stripping the per-row padding so callers always see
 top-down (channels, rows, width) uint8.
@@ -98,8 +100,8 @@ def _read_pnm(data: bytes, path: Path) -> Frame:
     width, rows, maxval = fields
     if width < 1 or rows < 1:
         raise ImageParseError(f"{path}: bad dimensions {width}x{rows}")
-    if not 0 < maxval <= 255:
-        raise ImageParseError(f"{path}: unsupported maxval {maxval}")
+    if maxval != 255:
+        raise ImageParseError(f"{path}: unsupported maxval {maxval}, need 255")
     need = width * rows * channels
     payload = data[pos : pos + need]
     if len(payload) < need:

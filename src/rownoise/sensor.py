@@ -473,9 +473,22 @@ def simulate_stack(scenario: SimScenario, n_frames: int) -> list[Frame]:
 
 def scenario_to_json(scenario: SimScenario) -> str:
     """Serialize to a stable JSON document mirroring the config fields."""
-    doc = asdict(scenario)
-    doc["supply"]["phase_mode"] = scenario.supply.phase_mode.value
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps(asdict(scenario), sort_keys=True)
+
+
+def _build_section(cls, section, name: str, **parts):
+    """cls from one document section, with already built sub-sections in
+    parts. A section that is not an object, has unknown keys or lacks a
+    required one raises ValueError naming it."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{name} must be an object")
+    unknown = set(section) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    try:
+        return cls(**{**section, **parts})
+    except TypeError as exc:
+        raise ValueError(f"bad {name}: {exc}") from exc
 
 
 def scenario_from_json(text: str) -> SimScenario:
@@ -483,24 +496,12 @@ def scenario_from_json(text: str) -> SimScenario:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("scenario document must be a JSON object")
-    known = {"sensor", "supply", "temporal", "spatial", "seed"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-
-    def build(cls, key):
-        section = doc.get(key, {})
-        if not isinstance(section, dict):
-            raise ValueError(f"scenario section {key!r} must be an object")
-        try:
-            return cls(**section)
-        except TypeError as exc:
-            raise ValueError(f"bad scenario section {key!r}: {exc}") from exc
-
-    return SimScenario(
-        sensor=build(SensorConfig, "sensor"),
-        supply=build(SupplyNoiseConfig, "supply"),
-        temporal=build(TemporalNoiseConfig, "temporal"),
-        spatial=build(SpatialNoiseConfig, "spatial"),
-        seed=doc.get("seed", 0),
+    sections = dict(
+        sensor=SensorConfig, supply=SupplyNoiseConfig,
+        temporal=TemporalNoiseConfig, spatial=SpatialNoiseConfig,
     )
+    parts = {
+        key: _build_section(cls, doc[key], f"scenario section {key!r}")
+        for key, cls in sections.items() if key in doc
+    }
+    return _build_section(SimScenario, doc, "scenario", **parts)

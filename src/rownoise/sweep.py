@@ -17,7 +17,7 @@ import json
 import math
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +26,9 @@ from . import imageio, physics
 from .metric import ImageStack, row_noise
 from .sensor import (
     SimScenario,
+    _build_section,
     _check_field_types,
     scenario_from_json,
-    scenario_to_json,
     simulate_stack,
 )
 
@@ -134,7 +134,6 @@ class SweepResult:
 
     points: list[tuple[float, float]]
     frames_per_point: list[int] = field(default_factory=list)
-    config: SweepConfig | None = None
 
     @property
     def frequencies(self) -> list[float]:
@@ -196,11 +195,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             try:
                 value, n = _measure_captured(config, f)
             except (RuntimeError, OSError, ValueError) as exc:
-                partial = SweepResult(points=points, frames_per_point=counts, config=config)
+                partial = SweepResult(points=points, frames_per_point=counts)
                 raise CaptureError(str(exc), partial) from exc
             points.append((f, value))
             counts.append(n)
-        return SweepResult(points=points, frames_per_point=counts, config=config)
+        return SweepResult(points=points, frames_per_point=counts)
 
     if config.workers == 1:
         measured = [_measure_simulated(config, i, f) for i, f in enumerate(freqs)]
@@ -212,7 +211,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     return SweepResult(
         points=[(f, v) for f, (v, _) in zip(freqs, measured)],
         frames_per_point=[n for _, n in measured],
-        config=config,
     )
 
 
@@ -232,7 +230,10 @@ def write_csv(result: SweepResult, path: str | Path) -> None:
 def read_csv(path: str | Path) -> SweepResult:
     """Inverse of write_csv. Header-only files give an empty result."""
     path = Path(path)
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines or lines[0].strip() != CSV_HEADER:
         got = lines[0].strip() if lines else "<empty file>"
         raise CsvParseError(f"{path}:1: expected header {CSV_HEADER!r}, got {got!r}")
@@ -250,7 +251,7 @@ def read_csv(path: str | Path) -> SweepResult:
         if not all(math.isfinite(x) for x in point):
             raise CsvParseError(f"{path}:{lineno}: non-finite value in {line.strip()!r}")
         points.append(point)
-    return SweepResult(points=points, frames_per_point=[], config=None)
+    return SweepResult(points=points)
 
 
 @dataclass(frozen=True)
@@ -453,28 +454,9 @@ def _render_svg(result: SweepResult) -> str:
 
 
 def sweep_config_to_json(config: SweepConfig) -> str:
-    doc = {
-        "start_hz": config.start_hz,
-        "end_hz": config.end_hz,
-        "step_hz": config.step_hz,
-        "amplitude_vpp": config.amplitude_vpp,
-        "frames_per_step": config.frames_per_step,
-        "seed": config.seed,
-        "workers": config.workers,
-    }
-    if isinstance(config.source, CaptureSource):
-        doc["source"] = {
-            "mode": "capture",
-            "command": config.source.command,
-            "image_dir": str(config.source.image_dir),
-            "pattern": config.source.pattern,
-        }
-    else:
-        doc["source"] = {
-            "mode": "simulate",
-            "scenario": json.loads(scenario_to_json(config.source.scenario)),
-        }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    doc = asdict(config)
+    doc["source"]["mode"] = "capture" if isinstance(config.source, CaptureSource) else "simulate"
+    return json.dumps(doc, sort_keys=True, indent=2, default=str)  # str: the image_dir Path
 
 
 def sweep_config_from_json(text: str) -> SweepConfig:
@@ -483,23 +465,18 @@ def sweep_config_from_json(text: str) -> SweepConfig:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("sweep config must be a JSON object")
-    src = doc.pop("source", {})
+    src = doc.get("source", {})
     if not isinstance(src, dict):
         raise ValueError("sweep source must be a JSON object")
     mode = src.pop("mode", "simulate")
-    try:
-        if mode == "capture":
-            missing = [key for key in ("command", "image_dir") if key not in src]
-            if missing:
-                raise ValueError(f"capture source needs {' and '.join(missing)}")
-            source: SimulateSource | CaptureSource = CaptureSource(**src)
-        elif mode == "simulate":
-            scenario = scenario_from_json(json.dumps(src.pop("scenario", {})))
-            if src:
-                raise ValueError(f"unknown simulate source keys: {sorted(src)}")
-            source = SimulateSource(scenario=scenario)
-        else:
-            raise ValueError(f"unknown sweep source mode {mode!r}")
-        return SweepConfig(source=source, **doc)
-    except TypeError as exc:
-        raise ValueError(f"bad sweep config: {exc}") from exc
+    if mode == "capture":
+        missing = [key for key in ("command", "image_dir") if key not in src]
+        if missing:
+            raise ValueError(f"capture source needs {' and '.join(missing)}")
+        source = _build_section(CaptureSource, src, "capture source")
+    elif mode == "simulate":
+        scenario = scenario_from_json(json.dumps(src.get("scenario", {})))
+        source = _build_section(SimulateSource, src, "simulate source", scenario=scenario)
+    else:
+        raise ValueError(f"unknown sweep source mode {mode!r}")
+    return _build_section(SweepConfig, doc, "sweep config", source=source)

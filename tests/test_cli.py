@@ -1,7 +1,9 @@
 """End-to-end command line tests, driven through main() for speed with one
 subprocess smoke check of the module entry point."""
 
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -10,15 +12,17 @@ import struct
 import subprocess
 import sys
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rownoise.cli import main
+from rownoise.cli import build_parser, main
 from rownoise.imageio import write_image
-from rownoise.sensor import Frame
+from rownoise.sensor import Frame, SimScenario
+from rownoise.sweep import SweepConfig
 
 PHASE = str(math.pi / 4.0)
 SMALL_FLAGS = [
@@ -327,6 +331,75 @@ class TestConfigDocuments:
         out = tmp_path / "out"
         assert self.run(tmp_path, capsys, ["simulate", "--out-dir", str(out)], doc) == 2
         assert not out.exists()
+
+
+class TestMisplacedFlags:
+    """A flag the sweep source does not take reaches the document parser as
+    an unknown key: exit 2, one error line naming it, nothing written."""
+
+    def check(self, tmp_path, capsys, argv, key):
+        before = set(tmp_path.iterdir())
+        assert main(["sweep", *argv, "--start", "100", "--end", "100",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(key) in err
+        assert set(tmp_path.iterdir()) == before  # no CSV, no sidecar
+
+    def test_scenario_flags_on_a_capture_sweep(self, tmp_path, capsys):
+        argv = ["--capture-cmd", "true", "--capture-dir", str(tmp_path / "rig"),
+                "--read-noise", "2", "--dsnu", "1"]
+        self.check(tmp_path, capsys, argv, "scenario")
+
+    def test_capture_dir_on_a_simulate_sweep(self, tmp_path, capsys):
+        argv = ["--width", "8", "--active-rows", "4", "--capture-dir", str(tmp_path / "rig")]
+        self.check(tmp_path, capsys, argv, "image_dir")
+
+    def test_capture_cmd_on_a_simulate_config(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"source": {
+            "mode": "simulate", "scenario": {"sensor": {"width": 8, "active_rows": 4}},
+        }}))
+        argv = ["--config", str(cfg), "--capture-cmd", "true",
+                "--capture-dir", str(tmp_path / "rig")]
+        self.check(tmp_path, capsys, argv, "scenario")
+
+    def test_seed_is_the_sweep_seed_only(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--width", "8", "--active-rows", "4", "--start", "100",
+                     "--end", "100", "--seed", "5", "--out", str(out)]) == 0
+        config = json.loads((tmp_path / "s.csv.config.json").read_text())["config"]
+        assert config["seed"] == 5
+        assert config["source"]["scenario"]["seed"] == 0  # unused: points seed per step
+
+
+def _names_a_field(cls, path: list[str]) -> bool:
+    """Whether path names a field of the dataclass cls, nested fields
+    included; a union field may resolve through any dataclass in it."""
+    head, *rest = path
+    if head not in {f.name for f in dataclasses.fields(cls)}:
+        return False
+    kind = typing.get_type_hints(cls)[head]
+    return not rest or any(
+        dataclasses.is_dataclass(t) and _names_a_field(t, rest)
+        for t in typing.get_args(kind) or (kind,)
+    )
+
+
+class TestFlagPaths:
+    """Each config flag's dest is its path in the command's document, so a
+    mistyped dest would only show when a user passes that flag."""
+
+    @pytest.mark.parametrize("command, root", [("simulate", SimScenario), ("sweep", SweepConfig)])
+    def test_dests_name_config_fields(self, command, root):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        roots = {f.name for f in dataclasses.fields(root)}
+        paths = [a.dest.split(".") for a in sub.choices[command]._actions
+                 if a.dest.split(".")[0] in roots]
+        assert len(paths) >= 27  # the 26 scenario flags and --seed
+        for path in paths:
+            assert _names_a_field(root, path), ".".join(path)
 
 
 # Values that fit no field, or only some: wrong types, non-finite numbers,
@@ -643,6 +716,17 @@ class TestPredictCli:
     def test_invalid_fps_is_usage_error(self):
         assert main(["predict", "--noise-freq", "36000", "--fps", "0",
                      "--frame-length", "800"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags", [["--noise-freq", "100", "--rc-cutoff", "nan"],
+                  ["--noise-freq", "0", "--rc-cutoff", "5"]],
+        ids=["nan_cutoff", "zero_frequency"],
+    )
+    def test_rc_domain_error_prints_no_half_answer(self, capsys, flags):
+        assert main(["predict", *flags, "--fps", "30", "--frame-length", "10"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestParser:

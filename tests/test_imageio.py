@@ -4,8 +4,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rownoise.imageio import ImageParseError, read_image, read_stack, write_image
+from rownoise.sensor import Frame
 
 
 def _bmp_bytes(width, height, rows_bottom_up, bpp=24, compression=0):
@@ -87,6 +89,12 @@ class TestPnmReader:
         path.write_bytes(b"P5\n2 1\n65535\n\x00\x00\x00\x00")
         with pytest.raises(ImageParseError):
             read_image(path)
+        # Samples are full-range DN: a smaller maxval would be misread, and
+        # a sample above it (200 here) would pass unnoticed.
+        for maxval in (100, 254):
+            path.write_bytes(b"P5\n2 1\n%d\n\xc8\x00" % maxval)
+            with pytest.raises(ImageParseError, match=f"maxval {maxval}"):
+                read_image(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "short.pgm"
@@ -186,3 +194,63 @@ class TestReadStack:
         write_image(make_frame(np.zeros((1, 3, 2), dtype=np.uint8)), tmp_path / "im2.pgm")
         with pytest.raises(ImageParseError, match="im2.pgm: dimensions 2x3x1"):
             read_stack([tmp_path / "im1.pgm", tmp_path / "im2.pgm"])
+
+
+def mostly(valid, other):
+    """valid about three times in four, so that many files decode."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else other)
+
+
+def unsigned(bits, valid):
+    return mostly(st.just(valid), st.integers(0, 2**bits - 1))
+
+
+# Long enough for the small geometries most of the time.
+PAYLOAD = mostly(st.binary(min_size=108, max_size=160), st.binary(max_size=108))
+DIMENSION = mostly(st.integers(1, 6), st.integers(-(2**31), 2**31 - 1))
+PNM_TOKEN = st.one_of(st.integers(0, 2**32).map(str), st.sampled_from(["x", "-1", "", "1e3"]))
+PNM = st.builds(
+    lambda magic, tokens, seps, payload: magic
+    + b"".join(sep + token.encode() for sep, token in zip(seps, tokens))
+    + seps[-1][:1]
+    + payload,
+    st.sampled_from([b"P5", b"P6"]),
+    st.tuples(
+        mostly(st.integers(1, 6).map(str), PNM_TOKEN),
+        mostly(st.integers(1, 6).map(str), PNM_TOKEN),
+        mostly(st.just("255"), PNM_TOKEN),
+    ),
+    st.lists(mostly(st.sampled_from([b" ", b"\n", b"\t", b"\n# note\n"]),
+                    st.sampled_from([b"#", b""])), min_size=4, max_size=4),
+    PAYLOAD,
+)
+BMP = st.builds(
+    lambda head, payload: b"BM" + head + payload,
+    st.tuples(
+        unsigned(32, 0), unsigned(16, 0), unsigned(16, 0), unsigned(32, 54),  # file header
+        unsigned(32, 40), DIMENSION, DIMENSION,  # header size, width, height
+        unsigned(16, 1), unsigned(16, 24), unsigned(32, 0),  # planes, bpp, compression
+    ).map(lambda v: struct.pack("<IHHIIiiHHI", *v) + bytes(20)),
+    PAYLOAD,
+)
+IMAGE_BYTES = st.one_of(
+    st.builds(lambda magic, rest: magic + rest, st.sampled_from([b"P5", b"P6", b"BM"]),
+              st.binary(max_size=80)),
+    PNM,
+    BMP,
+)
+
+
+class TestReaderProperties:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=IMAGE_BYTES)
+    def test_any_bytes_give_a_frame_or_a_parse_error(self, tmp_path, data):
+        path = tmp_path / "im.bin"
+        path.write_bytes(data)
+        try:
+            frame = read_image(path)
+        except ImageParseError as exc:
+            assert str(exc).startswith(str(path))
+        else:
+            assert isinstance(frame, Frame) and min(frame.pixels.shape) >= 1

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rownoise.metric import ImageStack, row_noise
 from rownoise.sensor import (
@@ -239,7 +240,37 @@ class TestCaptureSource:
             run_sweep(cfg)
 
 
+# A CSV cell: free text, or a number spelled in one of the ways float()
+# takes or nearly takes.
+CELL = st.one_of(
+    st.text(max_size=6),
+    st.floats().map(repr),
+    st.integers(-(10**400), 10**400).map(str),
+    st.sampled_from(["nan", "-inf", "1e999", "1_000", " 5 ", "0x10", ""]),
+)
+CSV_BYTES = st.one_of(
+    st.text(max_size=80).map(str.encode),
+    st.lists(st.lists(CELL, max_size=3).map(",".join), max_size=5).map(
+        lambda rows: "\n".join(["frequency_hz,row_noise", *rows]).encode()
+    ),
+    st.binary(max_size=80),  # not necessarily UTF-8
+)
+
+
 class TestCsv:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=CSV_BYTES)
+    def test_any_text_gives_a_result_or_a_parse_error(self, tmp_path, data):
+        path = tmp_path / "any.csv"
+        path.write_bytes(data)
+        try:
+            result = read_csv(path)
+        except CsvParseError as exc:
+            assert str(exc).startswith(f"{path}:")
+        else:
+            assert all(math.isfinite(x) for point in result.points for x in point)
+
     def test_golden_line(self, tmp_path):
         path = tmp_path / "one.csv"
         write_csv(SweepResult(points=[(25000.0, 8.80694)]), path)
