@@ -3,10 +3,12 @@
 The determinism tests elsewhere compare one run with another, so a change
 that shifts every run the same way passes them. These pins do not: each
 is the sha256 of the analog values and the quantized pixels of a small
-scenario, one per noise source, or of the criterion-11 sweep CSV. They
-were taken before the simulator's hot path was rewritten and must not be
-edited to follow a change in output bits; a deliberate change of the
-Philox substream contract is the only reason to re-pin them.
+scenario, one per noise source, of the criterion-11 sweep CSV, or of the
+two image corrections on one banded capture. They were taken before the
+simulator's hot path, and later the lowpass median, was rewritten and
+must not be edited to follow a change in output bits; a deliberate
+change of the Philox substream contract is the only reason to re-pin
+them.
 
 The bits depend on numpy's Philox, normal and Poisson code, so the pins
 hold for the numpy feature release they were taken with.
@@ -17,7 +19,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from rownoise.mitigation import dark_reference_correct, lowpass_offset_suppress
 from rownoise.sensor import (
+    Frame,
     PhaseMode,
     SensorConfig,
     SimScenario,
@@ -103,6 +107,11 @@ FRAME_PINS = {
     "rgb_all_sources": "bd0a25eca409a780d0e1d59b4035b1dfac5e926fdd6e6d25d54a54418cea830d",
 }
 
+MITIGATION_PINS = {
+    "lowpass_9": "cb97b117ab4306d319a3d946bd2db31e66a11488e734583605a94f5eaeb848ef",
+    "dark_ref_4": "1e81defb150f53229b7c5d7e686dbe6c01a1499922c46e8ab7dbf979530ed65a",
+}
+
 SWEEP_CSV_PIN = "4d7902af46939d0eca2992042a6040d3fa922d532f66e626d1e2e6d3bc3b4293"
 
 
@@ -144,3 +153,27 @@ def test_criterion_11_sweep_csv_matches_golden_digest(tmp_path):
     path = tmp_path / "sweep.csv"
     write_csv(run_sweep(config), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_CSV_PIN
+
+
+def banded_capture() -> Frame:
+    """A 3-channel 40x24 capture: pedestal 64, a 6 DN row tone with
+    1.67-row bands, 2 DN read noise and a 20 DN brighter block in the
+    last 6 columns, clear of the 4 dark reference columns."""
+    rng = np.random.default_rng(2024)
+    rows = np.arange(40, dtype=np.float64)[None, :, None]
+    tone = 6.0 * np.sin(2.0 * np.pi * 0.3 * rows + 0.7)
+    analog = 64.0 + tone + rng.normal(0.0, 2.0, (3, 40, 24))
+    analog[:, :, 18:] += 20.0
+    return Frame(pixels=np.clip(np.floor(analog + 0.5), 0, 255).astype(np.uint8))
+
+
+@pytest.mark.parametrize(
+    "name, correct",
+    [
+        ("lowpass_9", lambda f: lowpass_offset_suppress(f, 9)),
+        ("dark_ref_4", lambda f: dark_reference_correct(f, 4, pedestal_dn=64)),
+    ],
+)
+def test_mitigation_matches_golden_digest(name, correct):
+    pixels = correct(banded_capture()).pixels
+    assert hashlib.sha256(pixels.tobytes()).hexdigest() == MITIGATION_PINS[name]

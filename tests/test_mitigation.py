@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.ndimage import median_filter
 
 from rownoise.metric import row_noise_single
 from rownoise.mitigation import (
@@ -22,6 +23,7 @@ from rownoise.sensor import (
     SimScenario,
     SupplyNoiseConfig,
     TemporalNoiseConfig,
+    quantize_dn,
     rc_attenuation,
     simulate_frame,
 )
@@ -137,6 +139,36 @@ class TestLowpassSuppress:
         before = row_noise_single(frame)
         after = row_noise_single(lowpass_offset_suppress(frame, 9))
         assert after < 0.5 * before
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize(
+        "rows, width, kernel",
+        [
+            (38, 23, 3),
+            (38, 23, 9),
+            (38, 23, 37),  # the largest odd kernel the frame takes
+            (9, 17, 9),  # rows == kernel: every window reaches an edge
+            (3, 5, 3),
+            (12, 1, 5),  # one column: the row median is the residue itself
+        ],
+    )
+    def test_matches_float_median_filter_bit_for_bit(self, channels, rows, width, kernel):
+        # The formula before the per-column 1-D running median: a float64
+        # (1, k, 1) median filter over the whole stack, a float median
+        # over each row of the residue, a float subtract, then quantize.
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            pixels = rng.integers(0, 256, (channels, rows, width), dtype=np.uint8)
+            if seed % 2:  # near-dark banded frames as well as full-range noise
+                pixels = np.clip(pixels // 16 + 8 * (np.arange(rows) % 3)[:, None], 0, 255)
+                pixels = pixels.astype(np.uint8)
+            as_float = pixels.astype(np.float64)
+            lowpass = median_filter(as_float, size=(1, kernel, 1), mode="nearest")
+            offsets = np.median(as_float - lowpass, axis=2)
+            expected = quantize_dn(as_float - offsets[:, :, None])
+            got = lowpass_offset_suppress(Frame(pixels=pixels), kernel).pixels
+            assert got.dtype == np.uint8
+            assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kernel", [2, 1, -3, 33])
     def test_kernel_validation(self, kernel):
