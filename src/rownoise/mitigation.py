@@ -28,7 +28,7 @@ import numpy as np
 from scipy.ndimage import median_filter
 
 from . import physics
-from .sensor import Frame, quantize_dn, rc_attenuation
+from .sensor import MAX_DN, Frame, quantize_dn, rc_attenuation
 
 __all__ = [
     "TuningMode",
@@ -71,6 +71,8 @@ def dark_reference_correct(
     """
     if m_dark_cols < 1:
         raise ValueError(f"m_dark_cols must be >= 1, got {m_dark_cols}")
+    if not 0 <= pedestal_dn <= MAX_DN:
+        raise ValueError(f"pedestal_dn must be in [0, {MAX_DN}], got {pedestal_dn}")
     if dark_pixels is None:
         if m_dark_cols > frame.width:
             raise ValueError(
@@ -96,6 +98,13 @@ def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
     median over each row of the high-pass residue is that row's offset
     estimate; subtracting it flattens the banding while leaving
     vertical ramps and uniform regions untouched.
+
+    The columns are laid end to end, each padded with kernel_rows // 2
+    copies of its edge rows, so no window crosses into a neighbouring
+    column, and filtered in one 1-D pass: SciPy's 1-D rank filter costs
+    O(log k) per pixel where its N-d one costs O(k), so a large kernel
+    costs little more than a small one. The residue is exact in int16,
+    and so is its row median in float64.
     """
     if kernel_rows < 3 or kernel_rows % 2 == 0:
         raise ValueError(f"kernel_rows must be odd and >= 3, got {kernel_rows}")
@@ -103,11 +112,12 @@ def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
         raise ValueError(
             f"kernel_rows {kernel_rows} exceeds frame rows {frame.rows}"
         )
-    pixels = frame.pixels.astype(np.float64)
-    lowpass = median_filter(pixels, size=(1, kernel_rows, 1), mode="nearest")
-    highpass = pixels - lowpass
-    offsets = np.median(highpass, axis=2)
-    corrected = pixels - offsets[:, :, None]
+    pad = kernel_rows // 2
+    columns = np.pad(frame.pixels.transpose(0, 2, 1), ((0, 0), (0, 0), (pad, pad)), mode="edge")
+    lowpass = median_filter(columns.ravel(), size=kernel_rows, mode="nearest")
+    lowpass = lowpass.reshape(columns.shape)[:, :, pad:-pad].transpose(0, 2, 1)
+    offsets = np.median(frame.pixels.astype(np.int16) - lowpass, axis=2)
+    corrected = frame.pixels - offsets[:, :, None]
     return Frame(pixels=quantize_dn(corrected), frame_index=frame.frame_index)
 
 
@@ -135,6 +145,7 @@ def recommend_tuning(
         raise ValueError(f"bad frame length range {frame_length_range}")
     if fps_step <= 0:
         raise ValueError(f"fps_step must be positive, got {fps_step}")
+    physics.line_frequency(fps_hi, fl_hi)  # the highest line rate on the grid is finite
 
     fps_grid = np.array(physics.frequency_grid(fps_lo, fps_hi, fps_step))
     mode = TuningMode(mode)

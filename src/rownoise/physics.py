@@ -60,7 +60,9 @@ def line_frequency(fps: float, frame_length_rows: int) -> float:
         f"frame length must be an integer row count, got {frame_length_rows!r}",
     )
     _require(frame_length_rows >= 1, f"frame length must be >= 1, got {frame_length_rows}")
-    return fps * frame_length_rows
+    f_line = fps * frame_length_rows
+    _require(f_line < math.inf, f"line frequency {fps} x {frame_length_rows} overflows")
+    return f_line
 
 
 def frequency_grid(start: float, stop: float, step: float) -> list[float]:

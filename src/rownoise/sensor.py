@@ -43,6 +43,7 @@ import json
 import math
 import numbers
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
@@ -377,6 +378,19 @@ def quantize_dn(analog: np.ndarray) -> np.ndarray:
     return _quantize_in_place(np.array(analog, dtype=np.float64))
 
 
+@contextmanager
+def _finite_arithmetic():
+    """Raise ValueError where the simulator's float64 arithmetic would
+    overflow or make a NaN: config values that are each finite can still
+    overflow together, as a 1e308 Hz supply phase or 1e308 DN of noise."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"scenario values overflow float64 arithmetic: {exc}") from None
+
+
+@_finite_arithmetic()
 def generate_fpn_maps(seed: int, sensor: SensorConfig, spatial: SpatialNoiseConfig) -> FpnMaps:
     """Frozen non-uniformity maps for one seed. Frame-independent."""
     pixel = column = None
@@ -413,6 +427,7 @@ def row_supply_offsets_dn(scenario: SimScenario, frame_index: int) -> np.ndarray
     return scenario.supply.coupling_gain * scenario.sensor.dn_per_volt * volts
 
 
+@_finite_arithmetic()
 def simulate_frame_analog(
     scenario: SimScenario, frame_index: int, fpn: FpnMaps | None = None
 ) -> np.ndarray:

@@ -261,6 +261,7 @@ class Absolute:
     value: float
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if self.value < 0:
             raise ValueError(f"threshold must be >= 0, got {self.value}")
 
@@ -273,6 +274,7 @@ class BaselineSigma:
     window: int = 10
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if self.k <= 0:
             raise ValueError(f"k must be positive, got {self.k}")
         if self.window < 2:
@@ -354,7 +356,10 @@ def analyze_report(
                 f"baseline window {threshold.window} exceeds point count {len(values)}"
             )
         base = values[: threshold.window]
-        cut = float(base.mean() + threshold.k * base.std(ddof=1))
+        # Python floats, so a huge k overflows to inf without a warning.
+        cut = float(base.mean()) + threshold.k * float(base.std(ddof=1))
+        if not math.isfinite(cut):
+            raise ValueError(f"baseline threshold with k = {threshold.k} overflows")
 
     above = values > cut
     areas: list[tuple[float, float]] = []

@@ -7,12 +7,14 @@ import dataclasses
 import io
 import json
 import math
+import re
 import shlex
 import struct
 import subprocess
 import sys
 import tempfile
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -609,6 +611,18 @@ class TestReportCli:
         assert main(["report", "--csv", str(bad)]) == 1
         assert "nan.csv:2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--threshold=nan"], ["--threshold=inf"], ["--sigma-k=nan", "--window=2"],
+         ["--sigma-k=inf", "--window=2"], ["--sigma-k=1e308", "--window=60"]],
+        ids=["threshold_nan", "threshold_inf", "sigma_nan", "sigma_inf", "sigma_overflow"],
+    )
+    def test_non_finite_threshold_is_usage_error(self, tmp_path, capsys, flags):
+        assert main(["report", "--csv", str(bump_csv(tmp_path)), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_malformed_csv_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("frequency_hz,row_noise\nwat\n")
@@ -631,6 +645,17 @@ class TestMitigateCli:
         assert main(["analyze", str(fixed)]) == 0
         assert capsys.readouterr().out.strip() == "0.0000"
         assert (fixed / "config.json").exists()
+
+    @pytest.mark.parametrize("pedestal", ["nan", "inf", "-1", "256"])
+    def test_pedestal_outside_dn_range_is_usage_error(self, tmp_path, capsys, pedestal):
+        src = self.banded_dir(tmp_path)
+        fixed = tmp_path / "fixed"
+        capsys.readouterr()
+        assert main(["mitigate", "--method", "dark-ref", f"--pedestal={pedestal}",
+                     "--out-dir", str(fixed), str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: pedestal_dn") and err.count("\n") == 1
+        assert not list(fixed.glob("im*"))
 
     def test_lowpass_runs_and_writes_frames(self, tmp_path):
         src = self.banded_dir(tmp_path)
@@ -744,3 +769,153 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert proc.stdout == "alias 12000 Hz, band height 1 row\n"
+
+
+# Flag values as typed: numbers that fit, and about one in four that is
+# non-finite, negative, zero or huge. Geometry, sweep ranges and tune
+# ranges are drawn apart so a run stays tiny whatever the other values are.
+def often(valid, junk):
+    """valid about three times in four."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else junk)
+
+
+NUMBER = often(
+    st.floats(0.0, 1e6).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-300", "1e308"]),
+)
+COUNT = often(
+    st.sampled_from(["1", "2", "3", "9"]),
+    st.sampled_from(["-1", "0", "1.5", "nan", str(2**70)]),
+)
+SCENARIO_VALUES = [
+    "--fps", "--pedestal", "--dn-per-volt", "--noise-freq", "--noise-amp", "--noise-phase",
+    "--coupling-gain", "--rc-cutoff", "--dark-signal-e", "--read-noise", "--flicker-scale",
+    "--reset-temp", "--reset-cap", "--dsnu", "--column-fpn",
+]
+SWITCHES = ("--shot", "--flicker", "--reset", "--cds")
+
+
+@st.composite
+def some_flags(draw, table: dict) -> list[str]:
+    """A few of the flags in table as --flag=value, so that a value such
+    as -1e308 is not taken for a flag."""
+    flags = draw(st.lists(st.sampled_from(sorted(table)), max_size=4, unique=True))
+    return [f"{flag}={draw(table[flag])}" for flag in flags]
+
+
+@st.composite
+def scenario_argv(draw) -> list[str]:
+    argv = [
+        "--width=" + draw(mostly(st.sampled_from(["1", "3", "8"]), st.sampled_from(["0", "-1"]))),
+        "--active-rows=" + draw(mostly(st.sampled_from(["1", "2", "4"]), st.just("0"))),
+    ]
+    argv += draw(some_flags({
+        **{flag: NUMBER for flag in SCENARIO_VALUES},
+        "--ob-rows": often(st.sampled_from(["0", "1"]), st.just("-1")),
+        "--blanking-rows": often(st.sampled_from(["0", "4"]), st.just("-1")),
+        "--channels": often(st.sampled_from(["1", "3"]), st.just("2")),
+        "--phase-mode": often(
+            st.sampled_from(["continuous", "random_per_frame"]), st.just("sideways")
+        ),
+        "--prnu": often(st.just("0"), NUMBER),
+        "--seed": COUNT,
+    }))
+    for flag in draw(st.lists(st.sampled_from(SWITCHES), max_size=2, unique=True)):
+        argv.append(flag if draw(st.booleans()) else "--no-" + flag[2:])
+    return argv
+
+
+def one_step_on(start: str, step: str) -> str:
+    """start + step, so a valid range has at most 2 points."""
+    return repr(float(start) + float(step))
+
+
+COMMANDS = ["simulate", "analyze", "sweep", "report", "mitigate", "mitigate-tune", "predict"]
+
+
+@st.composite
+def argv_for(draw, command: str, inputs: Path, csv: Path, work: Path) -> list[str]:
+    if command == "simulate":
+        frames = draw(often(st.sampled_from(["1", "2"]), st.sampled_from(["0", "-1"])))
+        return ["simulate", *draw(scenario_argv()), f"--frames={frames}",
+                "--out-dir", str(work / "sim")]
+    if command == "analyze":
+        return ["analyze", str(inputs), *draw(st.sampled_from(
+            [[], ["--per-frame"], ["--csv", str(work / "a.csv")]]
+        ))]
+    if command == "sweep":
+        start, step = draw(NUMBER), draw(NUMBER)
+        end = draw(often(st.sampled_from([start, one_step_on(start, step)]),
+                         st.sampled_from(["nan", "-1"])))
+        argv = ["sweep", *draw(scenario_argv()), f"--start={start}", f"--end={end}",
+                f"--step={step}", "--out", str(work / "s.csv")]
+        return argv + draw(some_flags({
+            "--amp": NUMBER,
+            "--frames-per-step": often(st.sampled_from(["1", "2"]), st.just("0")),
+            "--workers": often(st.sampled_from(["1", "2"]), st.just("-1")),
+            "--plot": st.just(str(work / "s.svg")),
+            "--capture-dir": st.just(str(work / "no-captures")),
+        }))
+    if command == "report":
+        threshold = (
+            [f"--threshold={draw(NUMBER)}"] if draw(st.booleans())
+            else draw(some_flags({"--sigma-k": NUMBER, "--window": COUNT}))
+        )
+        return ["report", "--csv", str(csv), *threshold, *draw(some_flags({
+            "--json": st.just(str(work / "r.json")), "--text": st.just(str(work / "r.txt")),
+        }))]
+    if command == "mitigate":
+        return ["mitigate", str(inputs), "--out-dir", str(work / "fixed"),
+                "--method", draw(st.sampled_from(["dark-ref", "lowpass"])),
+                *draw(some_flags({"--dark-cols": COUNT, "--pedestal": NUMBER,
+                                  "--kernel-rows": COUNT}))]
+    if command == "mitigate-tune":
+        fps, length = draw(NUMBER), draw(COUNT)
+        fps_max = draw(often(st.sampled_from([fps, one_step_on(fps, "0.02")]),
+                             st.sampled_from(["nan", "0"])))
+        length_max = draw(often(st.sampled_from([length]), st.sampled_from(["3", "-1"])))
+        return ["mitigate", "--method", "tune", f"--noise-freq={draw(NUMBER)}",
+                f"--fps-min={fps}", f"--fps-max={fps_max}",
+                f"--frame-length-min={length}", f"--frame-length-max={length_max}",
+                "--mode", draw(st.sampled_from(["sync", "max_separation"]))]
+    return ["predict", f"--noise-freq={draw(NUMBER)}", f"--fps={draw(NUMBER)}",
+            f"--frame-length={draw(COUNT)}",
+            *draw(some_flags({"--rc-cutoff": NUMBER}))]
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(tmp_path_factory):
+    """Two banded 12x8 PGMs and a 12-point sweep CSV."""
+    root = tmp_path_factory.mktemp("argv")
+    images = root / "images"
+    images.mkdir()
+    for i in (1, 2):
+        write_pgm(images / f"im{i}.pgm", 60 + 5 * (np.arange(12) % 3 == i))
+    csv = root / "sweep.csv"
+    csv.write_text("frequency_hz,row_noise\n" + "".join(
+        f"{f},{0.2 + 20.0 * (f == 200):.4f}\n" for f in range(100, 1300, 100)
+    ))
+    return images, csv
+
+
+class TestArgvProperties:
+    @pytest.mark.parametrize("command", COMMANDS)
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_any_flags_give_an_answer_or_a_clean_error(self, argv_inputs, command, data):
+        images, csv = argv_inputs
+        with tempfile.TemporaryDirectory() as work:
+            argv = data.draw(argv_for(command, images, csv, Path(work)), label="argv")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")  # a warning fails the example
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the flag value
+                    code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE) is None
+        if code == 1 or (code == 2 and "usage:" not in err.getvalue()):
+            assert err.getvalue().startswith("error: ")

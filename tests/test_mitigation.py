@@ -70,6 +70,12 @@ class TestDarkReference:
                 frame, 3, dark_pixels=np.zeros((1, 4, 3), dtype=np.uint8)
             )
 
+    @pytest.mark.parametrize("pedestal", [math.nan, math.inf, -math.inf, -1.0, 255.5])
+    def test_pedestal_must_be_a_dn_level(self, pedestal):
+        # The range SensorConfig.pedestal_dn takes; nan used to give all-zero frames.
+        with pytest.raises(ValueError, match="pedestal_dn"):
+            dark_reference_correct(banded_frame(), 4, pedestal_dn=pedestal)
+
     def test_validation(self):
         frame = banded_frame()
         with pytest.raises(ValueError):
@@ -224,6 +230,7 @@ class TestTuning:
             (math.inf, (29.0, 31.0), (800, 800)),
             (math.nan, (29.0, 31.0), (800, 800)),
             (100.0, (29.0, math.inf), (800, 800)),
+            (100.0, (1e308, 1e308), (1, 3)),  # the line rate overflows
         ],
     )
     def test_validation(self, args):

@@ -69,6 +69,8 @@ class TestLineFrequency:
             line_frequency(30.0, 800.5)
         with pytest.raises(ValueError):
             line_frequency(math.inf, 800)
+        with pytest.raises(ValueError, match="overflows"):
+            line_frequency(1e308, 2)
 
 
 class TestFrequencyGrid:

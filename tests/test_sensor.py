@@ -190,6 +190,22 @@ class TestQuantize:
 
 
 class TestSupplyCoupling:
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            {"supply": SupplyNoiseConfig(frequency_hz=1e308, amplitude_vpp=1.0)},
+            {"supply": SupplyNoiseConfig(frequency_hz=4117.0, amplitude_vpp=1e308)},
+            {"temporal": TemporalNoiseConfig(read_noise_dn=1e308)},
+            {"spatial": SpatialNoiseConfig(column_fpn_dn=1e308)},
+        ],
+        ids=["supply_phase", "supply_amplitude", "read_noise", "column_fpn"],
+    )
+    def test_values_that_overflow_together_are_rejected(self, parts):
+        # Each value is finite, so the config takes it; the arithmetic
+        # overflows, which is a ValueError and not a RuntimeWarning and NaN.
+        with pytest.raises(ValueError, match="overflow float64"):
+            simulate_stack(SimScenario(sensor=SMALL, **parts), 2)
+
     def test_quiet_supply_gives_exact_pedestal(self):
         sc = SimScenario(sensor=SMALL)
         frame = simulate_frame(sc, 0)

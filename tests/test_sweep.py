@@ -383,6 +383,27 @@ class TestReport:
         with pytest.raises(ValueError):
             BaselineSigma(window=1)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Absolute(math.nan),
+            lambda: Absolute(math.inf),
+            lambda: BaselineSigma(k=math.nan),
+            lambda: BaselineSigma(k=math.inf),
+            lambda: BaselineSigma(window=2.5),
+            lambda: BaselineSigma(k="5"),
+        ],
+        ids=["abs_nan", "abs_inf", "k_nan", "k_inf", "float_window", "str_k"],
+    )
+    def test_threshold_fields_are_type_checked(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_overflowing_baseline_threshold_rejected(self):
+        result = SweepResult(points=[(100.0, 0.2), (200.0, 20.2), (300.0, 0.2)])
+        with pytest.raises(ValueError, match="overflows"):
+            analyze_report(result, BaselineSigma(k=1e308, window=2))
+
     def test_text_fields(self):
         text = analyze_report(bump_result(), Absolute(0.3)).to_text()
         assert "Row Noise Start" in text
