@@ -78,7 +78,9 @@ def frequency_grid(start: float, stop: float, step: float) -> list[float]:
         math.isfinite(start) and math.isfinite(stop), f"range {start} to {stop} must be finite"
     )
     _require(stop >= start, f"stop {stop} is below start {start}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step
+    _require(steps < math.inf, f"range {start} to {stop} in steps of {step} overflows")
+    count = int(math.floor(steps + 1e-9)) + 1
     return [start + i * step for i in range(count)]
 
 

@@ -414,9 +414,10 @@ NOT_AN_OBJECT = st.sampled_from(BAD + [0.5])
 JUNK = st.sampled_from(BAD + [0.5, {}])
 
 
-def mostly(valid, junk):
-    """valid about nine times in ten, so that whole documents often parse."""
-    return st.integers(0, 9).flatmap(lambda i: valid if i else junk)
+def mostly(valid, junk, odds: int = 9):
+    """valid about odds times in odds + 1 (nine in ten by default), so that
+    whole documents often parse."""
+    return st.integers(0, odds).flatmap(lambda i: valid if i else junk)
 
 
 def field(valid):
@@ -775,8 +776,7 @@ class TestParser:
 # non-finite, negative, zero or huge. Geometry, sweep ranges and tune
 # ranges are drawn apart so a run stays tiny whatever the other values are.
 def often(valid, junk):
-    """valid about three times in four."""
-    return st.integers(0, 3).flatmap(lambda i: valid if i else junk)
+    return mostly(valid, junk, odds=3)
 
 
 NUMBER = often(
@@ -846,7 +846,9 @@ def argv_for(draw, command: str, inputs: Path, csv: Path, work: Path) -> list[st
     if command == "sweep":
         start, step = draw(NUMBER), draw(NUMBER)
         end = draw(often(st.sampled_from([start, one_step_on(start, step)]),
-                         st.sampled_from(["nan", "-1"])))
+                         st.sampled_from(["nan", "-1", "1e308"])))
+        if end == "1e308":  # a point count that overflows, never a huge finite one
+            step = "1e-300"
         argv = ["sweep", *draw(scenario_argv()), f"--start={start}", f"--end={end}",
                 f"--step={step}", "--out", str(work / "s.csv")]
         return argv + draw(some_flags({
@@ -871,8 +873,10 @@ def argv_for(draw, command: str, inputs: Path, csv: Path, work: Path) -> list[st
                                   "--kernel-rows": COUNT}))]
     if command == "mitigate-tune":
         fps, length = draw(NUMBER), draw(COUNT)
+        # fps_max 1e308 overflows the point count of the 0.01 fps grid
+        # unless fps is 1e308 too, so no grid is ever large.
         fps_max = draw(often(st.sampled_from([fps, one_step_on(fps, "0.02")]),
-                             st.sampled_from(["nan", "0"])))
+                             st.sampled_from(["nan", "0", "1e308"])))
         length_max = draw(often(st.sampled_from([length]), st.sampled_from(["3", "-1"])))
         return ["mitigate", "--method", "tune", f"--noise-freq={draw(NUMBER)}",
                 f"--fps-min={fps}", f"--fps-max={fps_max}",
@@ -885,7 +889,8 @@ def argv_for(draw, command: str, inputs: Path, csv: Path, work: Path) -> list[st
 
 @pytest.fixture(scope="module")
 def argv_inputs(tmp_path_factory):
-    """Two banded 12x8 PGMs and a 12-point sweep CSV."""
+    """Two banded 12-row, 4-column PGMs and a 12-point sweep CSV whose
+    second point stands 20 DN above the rest."""
     root = tmp_path_factory.mktemp("argv")
     images = root / "images"
     images.mkdir()

@@ -150,7 +150,7 @@ class TestLowpassSuppress:
     @pytest.mark.parametrize(
         "rows, width, kernel",
         [
-            (38, 23, 3),
+            (38, 24, 3),  # an even width: each row median averages two residues
             (38, 23, 9),
             (38, 23, 37),  # the largest odd kernel the frame takes
             (9, 17, 9),  # rows == kernel: every window reaches an edge

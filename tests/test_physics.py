@@ -87,7 +87,8 @@ class TestFrequencyGrid:
 
     @pytest.mark.parametrize(
         "args",
-        [(1.0, 2.0, 0.0), (1.0, 2.0, -1.0), (2.0, 1.0, 0.5), (1.0, math.inf, 0.5)],
+        [(1.0, 2.0, 0.0), (1.0, 2.0, -1.0), (2.0, 1.0, 0.5), (1.0, math.inf, 0.5),
+         (1.0, 1e308, 1e-300)],  # the point count overflows
     )
     def test_validation(self, args):
         with pytest.raises(ValueError):
