@@ -3,10 +3,10 @@
 The determinism tests elsewhere compare one run with another, so a change
 that shifts every run the same way passes them. These pins do not: each
 is the sha256 of the analog values and the quantized pixels of a small
-scenario, one per noise source, of the criterion-11 sweep CSV, or of the
-two image corrections on one banded capture. They were taken before the
-simulator's hot path, and later the lowpass median, was rewritten and
-must not be edited to follow a change in output bits; a deliberate
+scenario, one per noise source, of the criterion-11 sweep CSV and its
+report JSON, or of the two image corrections on one banded capture. They
+were taken before the simulator's hot path, later the lowpass median and
+then the report's JSON writer, was rewritten and must not be edited to follow a change in output bits; a deliberate
 change of the Philox substream contract is the only reason to re-pin
 them.
 
@@ -19,6 +19,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from rownoise.cli import main
 from rownoise.mitigation import dark_reference_correct, lowpass_offset_suppress
 from rownoise.sensor import (
     Frame,
@@ -177,3 +178,26 @@ def banded_capture() -> Frame:
 def test_mitigation_matches_golden_digest(name, correct):
     pixels = correct(banded_capture()).pixels
     assert hashlib.sha256(pixels.tobytes()).hexdigest() == MITIGATION_PINS[name]
+
+
+# The default baseline threshold finds no area on this curve; 20 DN gives one.
+REPORT_JSON_PINS = {
+    (): "f327766db781bb543088d82cb089b04a8969835d7824a7a9d3a65afeb0c820ac",
+    ("--threshold", "20"): "cc6f26cf8a9920001a4a0cc9f4df341f72d28edd0058e03d25d0179f07edef3b",
+}
+
+
+def test_criterion_11_report_json_matches_golden_digest(tmp_path):
+    """`report --json` on the criterion-11 sweep CSV, made by the CLI."""
+    csv, report = tmp_path / "sweep.csv", tmp_path / "report.json"
+    sweep = [
+        "sweep", "--width", "640", "--active-rows", "480", "--blanking-rows", "320",
+        "--pedestal", "128", "--read-noise", "2", "--start", "50", "--end", "100000",
+        "--step", "1000", "--amp", "1", "--frames-per-step", "3", "--seed", "12345",
+        "--out", str(csv),
+    ]
+    assert main(sweep) == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == SWEEP_CSV_PIN
+    for threshold, pin in REPORT_JSON_PINS.items():
+        assert main(["report", "--csv", str(csv), *threshold, "--json", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == pin, threshold
