@@ -15,7 +15,6 @@ from .sensor import (
 from .metric import (
     ImageStack,
     RowNoiseResult,
-    RowProfile,
     band_height_measure,
     row_means,
     row_noise,

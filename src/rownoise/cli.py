@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import imageio, mitigation, physics, sweep as sweepmod
@@ -152,10 +152,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise UsageError(f"frames must be an integer >= 1, got {n!r}")
 
+    stack = simulate_stack(scenario, n)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = imageio.image_suffix(scenario.sensor.channels)
-    stack = simulate_stack(scenario, n)
     names = []
     for i, frame in enumerate(stack, start=1):
         name = f"{args.prefix}{i}{ext}"
@@ -263,7 +263,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             continue
         path = Path(out)
         if payload is None:
-            path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+            path.write_text(json.dumps(asdict(report), indent=2) + "\n")
         else:
             path.write_text(payload)
         _write_sidecar(
@@ -303,7 +303,6 @@ def cmd_mitigate(args: argparse.Namespace) -> int:
     clashes = sorted(name for name, count in Counter(names).items() if count > 1)
     if clashes:
         raise UsageError(f"inputs would overwrite each other in {out_dir}: {', '.join(clashes)}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, frame in zip(names, frames):
         if args.method == "dark-ref":
             fixed = mitigation.dark_reference_correct(
@@ -311,6 +310,9 @@ def cmd_mitigate(args: argparse.Namespace) -> int:
             )
         else:
             fixed = mitigation.lowpass_offset_suppress(frame, args.kernel_rows)
+        # Made once a frame is corrected: a parameter that fits no input
+        # fails on the first frame and leaves no directory behind.
+        out_dir.mkdir(parents=True, exist_ok=True)
         imageio.write_image(fixed, out_dir / name)
     _write_sidecar(
         out_dir / "config.json",

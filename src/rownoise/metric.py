@@ -16,7 +16,6 @@ so the two can check each other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,13 +25,11 @@ from .sensor import Frame
 
 __all__ = [
     "ImageStack",
-    "RowProfile",
     "RowNoiseResult",
     "EPS_BAND_DN",
     "row_means",
     "row_noise_single",
     "row_noise",
-    "oracle_row_noise",
     "band_height_measure",
 ]
 
@@ -57,100 +54,52 @@ class ImageStack:
                     f"expected {first.channels}x{first.rows}x{first.width}"
                 )
 
-    @property
-    def n_frames(self) -> int:
-        return len(self.frames)
-
-
-@dataclass(frozen=True)
-class RowProfile:
-    """Per-channel row means, shape (channels, rows)."""
-
-    means: np.ndarray
-
-    @property
-    def channels(self) -> int:
-        return self.means.shape[0]
-
-    @property
-    def rows(self) -> int:
-        return self.means.shape[1]
-
 
 @dataclass(frozen=True)
 class RowNoiseResult:
     per_frame: list[float]
     average: float
-    n_frames: int
-    channels: int
 
 
-def row_means(frame: Frame) -> RowProfile:
+def row_means(frame: Frame) -> np.ndarray:
+    """Per-channel row means, shape (channels, rows)."""
     # Integer row sums are exact (far below 2**53), so this equals the
     # float64 mean bit for bit without a float copy of the frame.
-    return RowProfile(means=frame.pixels.sum(axis=2, dtype=np.uint64) / frame.width)
+    return frame.pixels.sum(axis=2, dtype=np.uint64) / frame.width
 
 
 def row_noise_single(frame: Frame) -> float:
     """Row noise of one frame in DN."""
     if frame.rows < 2:
         raise ValueError(f"need at least 2 rows, got {frame.rows}")
-    profile = row_means(frame)
-    return float(np.std(profile.means, axis=1, ddof=1).mean())
+    return float(np.std(row_means(frame), axis=1, ddof=1).mean())
 
 
 def row_noise(stack: ImageStack) -> RowNoiseResult:
     """Stack row noise: per-frame values and their average."""
     per_frame = [row_noise_single(f) for f in stack.frames]
-    return RowNoiseResult(
-        per_frame=per_frame,
-        average=sum(per_frame) / len(per_frame),
-        n_frames=stack.n_frames,
-        channels=stack.frames[0].channels,
-    )
+    return RowNoiseResult(per_frame=per_frame, average=sum(per_frame) / len(per_frame))
 
 
-def oracle_row_noise(frame: Frame) -> float:
-    """Same quantity as row_noise_single, by plain nested loops.
-
-    Kept free of numpy and of any helper shared with the fast path, so
-    it can stand as an independent cross-check in tests.
-    """
-    if frame.rows < 2:
-        raise ValueError(f"need at least 2 rows, got {frame.rows}")
-    channel_sigmas = []
-    for c in range(frame.channels):
-        means = []
-        for r in range(frame.rows):
-            total = 0.0
-            for x in range(frame.width):
-                total += float(frame.pixels[c][r][x])
-            means.append(total / frame.width)
-        grand = sum(means) / len(means)
-        ss = 0.0
-        for m in means:
-            ss += (m - grand) ** 2
-        channel_sigmas.append(math.sqrt(ss / (len(means) - 1)))
-    return sum(channel_sigmas) / len(channel_sigmas)
-
-
-def band_height_measure(profile: RowProfile, eps_band_dn: float = EPS_BAND_DN) -> float:
+def band_height_measure(means: np.ndarray) -> float:
     """Band height in rows of the dominant periodic row disturbance.
 
-    Works on the channel-averaged, mean-removed row-mean sequence. The
-    strongest Fourier bin k gives a period of rows/k and a band (half a
-    period) of rows/(2k). Returns UNIFORM when no bin reaches
-    eps_band_dn of amplitude, i.e. the profile is flat.
+    Works on the channel-averaged, mean-removed sequence of the
+    (channels, rows) row means. The strongest Fourier bin k gives a
+    period of rows/k and a band (half a period) of rows/(2k). Returns
+    UNIFORM when no bin reaches EPS_BAND_DN of amplitude, i.e. the
+    profile is flat.
     """
-    if profile.rows < 8:
-        raise ValueError(f"need at least 8 rows for a spectrum, got {profile.rows}")
-    seq = profile.means.mean(axis=0)
+    rows = means.shape[1]
+    if rows < 8:
+        raise ValueError(f"need at least 8 rows for a spectrum, got {rows}")
+    seq = means.mean(axis=0)
     seq = seq - seq.mean()
     spectrum = np.fft.rfft(seq)
     # Amplitude per bin; bin 0 is the removed mean.
-    amplitude = 2.0 * np.abs(spectrum) / profile.rows
+    amplitude = 2.0 * np.abs(spectrum) / rows
     amplitude[0] = 0.0
     k = int(np.argmax(amplitude))
-    if amplitude[k] < eps_band_dn:
+    if amplitude[k] < EPS_BAND_DN:
         return UNIFORM
-    return profile.rows / (2.0 * k)
+    return rows / (2.0 * k)

@@ -51,7 +51,6 @@ class TuningRecommendation:
     recommended_frame_length_rows: int
     resulting_alias_hz: float
     predicted_band_height_rows: float  # physics.UNIFORM when alias is 0
-    mode: TuningMode
 
 
 def dark_reference_correct(
@@ -86,7 +85,7 @@ def dark_reference_correct(
         )
     offsets = dark_pixels.astype(np.float64).mean(axis=2) - pedestal_dn
     corrected = frame.pixels.astype(np.float64) - offsets[:, :, None]
-    return Frame(pixels=quantize_dn(corrected), frame_index=frame.frame_index)
+    return Frame(pixels=quantize_dn(corrected))
 
 
 def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
@@ -118,7 +117,7 @@ def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
     lowpass = lowpass.reshape(columns.shape)[:, :, pad:-pad].transpose(0, 2, 1)
     offsets = np.median(frame.pixels.astype(np.int16) - lowpass, axis=2)
     corrected = frame.pixels - offsets[:, :, None]
-    return Frame(pixels=quantize_dn(corrected), frame_index=frame.frame_index)
+    return Frame(pixels=quantize_dn(corrected))
 
 
 def recommend_tuning(
@@ -172,7 +171,6 @@ def recommend_tuning(
         recommended_frame_length_rows=frame_length,
         resulting_alias_hz=band.alias_hz,
         predicted_band_height_rows=band.band_height_rows,
-        mode=mode,
     )
 
 

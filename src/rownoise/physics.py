@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "BOLTZMANN_K",
     "UNIFORM",
+    "MAX_GRID_POINTS",
     "AliasResult",
     "reset_noise_v",
     "line_frequency",
@@ -34,6 +35,9 @@ BOLTZMANN_K = 1.380649e-23  # J/K, CODATA 2018 exact
 # Sentinel band height for alias 0: the disturbance locks to the line rate
 # and every row sees the same offset, so there is no band to speak of.
 UNIFORM = math.inf
+
+# Most points frequency_grid builds: a sweep or tune grid is held whole.
+MAX_GRID_POINTS = 10**6
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -71,7 +75,8 @@ def frequency_grid(start: float, stop: float, step: float) -> list[float]:
 
     The point count allows 1e-9 of a step for float drift, so 0.1 to 0.3
     in steps of 0.1 has 3 points although (0.3 - 0.1) / 0.1 is just
-    under 2. Point i is start + i * step, never a running sum.
+    under 2. Point i is start + i * step, never a running sum. A grid of
+    more than MAX_GRID_POINTS points is rejected before any is built.
     """
     _require(step > 0, f"step must be positive, got {step}")
     _require(
@@ -81,6 +86,11 @@ def frequency_grid(start: float, stop: float, step: float) -> list[float]:
     steps = (stop - start) / step
     _require(steps < math.inf, f"range {start} to {stop} in steps of {step} overflows")
     count = int(math.floor(steps + 1e-9)) + 1
+    _require(
+        count <= MAX_GRID_POINTS,
+        f"range {start} to {stop} in steps of {step} has {count} points, "
+        f"more than the cap of {MAX_GRID_POINTS}",
+    )
     return [start + i * step for i in range(count)]
 
 
@@ -90,10 +100,6 @@ class AliasResult:
 
     alias_hz: float
     band_height_rows: float  # UNIFORM when alias_hz == 0
-
-    @property
-    def is_uniform(self) -> bool:
-        return math.isinf(self.band_height_rows)
 
 
 def fold_frequency(f_hz, f_line):

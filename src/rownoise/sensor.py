@@ -74,6 +74,7 @@ __all__ = [
 ]
 
 MAX_DN = 255  # 8-bit output range
+PINK_OCTAVES = 16  # octaves summed by pink_noise
 
 # Substream tags. Values are part of the reproducibility contract:
 # changing them changes every simulated frame.
@@ -137,7 +138,6 @@ class SensorConfig:
     optical_black_rows: int = 0
     blanking_rows: int = 12
     fps: float = 30.0
-    bit_depth: int = 8           # fixed at 8 for now
     pedestal_dn: float = 16.0    # keeps negative excursions off the 0 clamp
     dn_per_volt: float = MAX_DN / 3.3
     channels: int = 1
@@ -154,8 +154,6 @@ class SensorConfig:
             raise ValueError("blanking_rows must be >= 0")
         if self.fps <= 0:
             raise ValueError(f"fps must be positive, got {self.fps}")
-        if self.bit_depth != 8:
-            raise ValueError(f"only bit_depth 8 is supported, got {self.bit_depth}")
         if not 0 <= self.pedestal_dn <= MAX_DN:
             raise ValueError(f"pedestal_dn must be in [0, {MAX_DN}], got {self.pedestal_dn}")
         if self.dn_per_volt <= 0:
@@ -264,7 +262,6 @@ class Frame:
     """One simulated or loaded capture, channel-major uint8."""
 
     pixels: np.ndarray  # (channels, rows, width)
-    frame_index: int = 0
 
     def __post_init__(self) -> None:
         if self.pixels.ndim != 3:
@@ -327,19 +324,18 @@ def supply_noise_sample(supply: SupplyNoiseConfig, t, extra_phase_rad: float = 0
     return amplitude * np.sin(arg)
 
 
-def pink_noise(n: int, rng: np.random.Generator, octaves: int = 16) -> np.ndarray:
+def pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     """1/f noise by multi-rate summation.
 
-    Octave k holds a white sample for 2**k outputs; the sum over octaves
-    has a power density sloping at about -1 per decade across the band
-    the octave count spans. Output is scaled to roughly unit variance.
+    Octave k of PINK_OCTAVES holds a white sample for 2**k outputs; the
+    sum over octaves has a power density sloping at about -1 per decade
+    across the band the octave count spans. Output is scaled to roughly
+    unit variance.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    if octaves < 1:
-        raise ValueError(f"octaves must be >= 1, got {octaves}")
     total = np.zeros(n, dtype=np.float64)
-    for k in range(octaves):
+    for k in range(PINK_OCTAVES):
         step = 1 << k
         draws = rng.standard_normal((n + step - 1) // step)
         # Each draw covers one block of `step` outputs; the last block
@@ -349,7 +345,7 @@ def pink_noise(n: int, rng: np.random.Generator, octaves: int = 16) -> np.ndarra
         blocks += draws[:whole, None]
         if whole < len(draws):
             total[whole * step :] += draws[whole]
-    total /= math.sqrt(octaves)
+    total /= math.sqrt(PINK_OCTAVES)
     return total
 
 
@@ -475,7 +471,7 @@ def simulate_frame(
 ) -> Frame:
     """Quantized capture of one frame."""
     analog = simulate_frame_analog(scenario, frame_index, fpn)
-    return Frame(pixels=_quantize_in_place(analog), frame_index=frame_index)
+    return Frame(pixels=_quantize_in_place(analog))
 
 
 def simulate_stack(scenario: SimScenario, n_frames: int) -> list[Frame]:
@@ -491,12 +487,26 @@ def scenario_to_json(scenario: SimScenario) -> str:
     return json.dumps(asdict(scenario), sort_keys=True)
 
 
+# Keys that older documents and sidecars carry for a field that had one
+# legal value: (field type, value). A document still loads when it gives
+# that value, and the key is dropped.
+_RETIRED_KEYS = {
+    SensorConfig: {"bit_depth": ("int", 8)},
+}
+
+
 def _build_section(cls, section, name: str, **parts):
     """cls from one document section, with already built sub-sections in
     parts. A section that is not an object, has unknown keys or lacks a
     required one raises ValueError naming it."""
     if not isinstance(section, dict):
         raise ValueError(f"{name} must be an object")
+    section = dict(section)
+    for key, (kind, legal) in _RETIRED_KEYS.get(cls, {}).items():
+        if key in section:
+            value = section.pop(key)
+            if not (_FIELD_TYPES[kind][1](value) and value == legal):
+                raise ValueError(f"{key} is retired and may only be {legal}, got {value!r}")
     unknown = set(section) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {name} keys: {sorted(unknown)}")

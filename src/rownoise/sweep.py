@@ -289,15 +289,6 @@ class CharacterizationReport:
     areas_of_concern_hz: list[tuple[float, float]]
     threshold_dn: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "row_noise_start_hz": self.row_noise_start_hz,
-            "peak_hz": self.peak_hz,
-            "peak_row_noise_dn": self.peak_row_noise_dn,
-            "areas_of_concern_hz": [list(a) for a in self.areas_of_concern_hz],
-            "threshold_dn": self.threshold_dn,
-        }
-
     def to_text(self) -> str:
         lines = ["Characterization summary", "-" * 24]
         start = _format_freq_human(self.row_noise_start_hz) if (
@@ -356,8 +347,15 @@ def analyze_report(
                 f"baseline window {threshold.window} exceeds point count {len(values)}"
             )
         base = values[: threshold.window]
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                mean, std = float(base.mean()), float(base.std(ddof=1))
+        except FloatingPointError:
+            raise ValueError(
+                f"baseline of the first {threshold.window} points overflows float64 arithmetic"
+            ) from None
         # Python floats, so a huge k overflows to inf without a warning.
-        cut = float(base.mean()) + threshold.k * float(base.std(ddof=1))
+        cut = mean + threshold.k * std
         if not math.isfinite(cut):
             raise ValueError(f"baseline threshold with k = {threshold.k} overflows")
 

@@ -4,6 +4,7 @@ subprocess smoke check of the module entry point."""
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -121,6 +122,82 @@ class TestSimulate:
         assert "must be a finite number" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_overflowing_scenario_leaves_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["simulate", "--width", "4", "--active-rows", "4", "--noise-freq", "1e308",
+                     "--noise-amp", "1", "--frames", "1", "--out-dir", str(out)]) == 2
+        assert "overflow" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# Sidecars as a release with the sensor field bit_depth wrote them, and
+# the sha256 of the files that release made from them.
+OLD_SENSOR = (
+    '{"active_rows": 12, "bit_depth": 8, "blanking_rows": 4, "channels": 1, '
+    '"dn_per_volt": 77.27272727272728, "fps": 30.0, "optical_black_rows": %d, '
+    '"pedestal_dn": 16.0, "width": 16}'
+)
+OLD_TEMPORAL = (
+    '{"cds_enabled": false, "dark_signal_e": 0.0, "flicker_enabled": false, '
+    '"flicker_scale_dn": 0.0, "read_noise_dn": %s, "reset_cap_f": 5e-15, '
+    '"reset_enabled": false, "reset_temp_k": 300.0, "shot_enabled": false}'
+)
+OLD_SIMULATE_SIDECAR = (
+    '{"command": "simulate", "frames": 2, "out_dir": "sim", "prefix": "im", "scenario": {'
+    '"seed": 7, "sensor": ' + OLD_SENSOR % 2 + ', '
+    '"spatial": {"column_fpn_dn": 0.0, "dsnu_dn": 0.5, "prnu_fraction": 0.0}, '
+    '"supply": {"amplitude_vpp": 0.3, "coupling_gain": 1.0, "frequency_hz": 1730.0, '
+    '"phase_mode": "continuous", "phase_rad": 0.0, "rc_cutoff_hz": null}, '
+    '"temporal": ' + OLD_TEMPORAL % "1.5" + '}}'
+)
+OLD_SIMULATE_PINS = {
+    "im1.pgm": "347595e21cf3ccdb32621d34c4adfc9c2017deabfe1d2ebf6488738140434488",
+    "im2.pgm": "eed622153b509525f700012b0138dc3360a9475825aec007f4e09d2952840955",
+}
+OLD_SWEEP_SIDECAR = (
+    '{"command": "sweep", "out": "s.csv", "config": {"amplitude_vpp": 1.0, "end_hz": 300.0, '
+    '"frames_per_step": 2, "seed": 5, "start_hz": 100.0, "step_hz": 100.0, "workers": 1, '
+    '"source": {"mode": "simulate", "scenario": {"seed": 0, "sensor": ' + OLD_SENSOR % 0 + ', '
+    '"spatial": {"column_fpn_dn": 0.0, "dsnu_dn": 0.0, "prnu_fraction": 0.0}, '
+    '"supply": {"amplitude_vpp": 0.0, "coupling_gain": 1.0, "frequency_hz": 0.0, '
+    '"phase_mode": "continuous", "phase_rad": 0.0, "rc_cutoff_hz": null}, '
+    '"temporal": ' + OLD_TEMPORAL % "1.0" + '}}}}'
+)
+OLD_SWEEP_PIN = "de3ea7c3e7cd3440f1254c2f24629ddee6298f493b1b8c19f6f484d1b12858b9"
+
+
+class TestRetiredBitDepth:
+    """bit_depth had one legal value, 8. Old sidecars carrying it replay
+    to the same bytes; any other value is still a usage error."""
+
+    def test_simulate_sidecar_replays(self, tmp_path):
+        (tmp_path / "old.json").write_text(OLD_SIMULATE_SIDECAR)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(tmp_path / "old.json"),
+                     "--out-dir", str(out)]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("im*")}
+        assert got == OLD_SIMULATE_PINS
+        assert "bit_depth" not in (out / "config.json").read_text()
+
+    def test_sweep_sidecar_replays(self, tmp_path):
+        (tmp_path / "old.json").write_text(OLD_SWEEP_SIDECAR)
+        csv = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(tmp_path / "old.json"), "--out", str(csv)]) == 0
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == OLD_SWEEP_PIN
+
+    @pytest.mark.parametrize("value", ["12", "8.0"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_other_values_are_usage_errors(self, tmp_path, capsys, command, value):
+        if command == "simulate":
+            doc, argv = OLD_SIMULATE_SIDECAR, ["--out-dir", str(tmp_path / "sim")]
+        else:
+            doc, argv = OLD_SWEEP_SIDECAR, ["--out", str(tmp_path / "s.csv")]
+        (tmp_path / "old.json").write_text(doc.replace('"bit_depth": 8', f'"bit_depth": {value}'))
+        assert main([command, "--config", str(tmp_path / "old.json"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bit_depth") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
+
 
 class TestAnalyze:
     def test_quiet_frames_print_zero(self, tmp_path, capsys):
@@ -212,6 +289,13 @@ class TestSweepCli:
         assert code == 0
         assert "<svg" in svg.read_text()
         assert (tmp_path / "curve.dat").exists()
+
+    def test_grid_over_the_point_cap_is_usage_error(self, tmp_path, capsys):
+        assert main(["sweep", *SMALL_FLAGS, "--start", "1", "--end", "1e12", "--step", "1",
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "1000000000000 points" in err and "cap of 1000000" in err
+        assert not list(tmp_path.iterdir())
 
     def test_hundred_point_grid(self, tmp_path):
         csv = tmp_path / "grid.csv"
@@ -624,6 +708,17 @@ class TestReportCli:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_overflowing_baseline_is_usage_error_naming_it(self, tmp_path, capsys):
+        csv = tmp_path / "huge.csv"
+        csv.write_text("frequency_hz,row_noise\n100,1e308\n200,1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["report", "--csv", str(csv), "--sigma-k", "1", "--window", "2"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: baseline of the first 2 points overflows float64 arithmetic\n"
+
     def test_malformed_csv_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("frequency_hz,row_noise\nwat\n")
@@ -703,6 +798,25 @@ class TestMitigateCli:
         assert "frame length 800 rows" in out
         assert "alias 800 Hz" in out
         assert "band height 14.5 rows" in out
+
+    def test_tune_grid_over_the_point_cap_is_usage_error(self, capsys):
+        # 1 to 1e9 fps in 0.01 fps steps is about 1e11 points.
+        assert main(["mitigate", "--method", "tune", "--noise-freq", "24000",
+                     "--fps-min", "1", "--fps-max", "1e9",
+                     "--frame-length-min", "1", "--frame-length-max", "1"]) == 2
+        assert "cap of 1000000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--method", "lowpass", "--kernel-rows", "99"],
+                  ["--method", "dark-ref", "--dark-cols", "99"]],
+    )
+    def test_parameter_that_fits_no_frame_leaves_no_out_dir(self, tmp_path, capsys, flags):
+        src = self.banded_dir(tmp_path)
+        out = tmp_path / "newdir"
+        capsys.readouterr()
+        assert main(["mitigate", *flags, "--out-dir", str(out), str(src)]) == 2
+        assert "exceeds frame" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tune_missing_flags_is_usage_error(self, capsys):
         assert main(["mitigate", "--method", "tune", "--noise-freq", "24000"]) == 2
@@ -919,6 +1033,8 @@ class TestArgvProperties:
                     code = main(argv)
                 except SystemExit as exc:  # argparse rejects the flag value
                     code = exc.code
+            if code == 2:  # a usage error writes nothing
+                assert not list(Path(work).iterdir())
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         assert re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE) is None

@@ -190,7 +190,6 @@ class TestTuning:
         assert rec.recommended_frame_length_rows == 100
         assert rec.resulting_alias_hz == 1500.0
         assert rec.predicted_band_height_rows == 1.0
-        assert rec.mode is TuningMode.MAX_SEPARATION
 
     def test_mains_harmonic_example(self):
         rec = recommend_tuning(24000.0, (29.0, 31.0), (800, 800))
@@ -207,7 +206,6 @@ class TestTuning:
         assert rec.recommended_frame_length_rows == 800
         assert rec.resulting_alias_hz == 0.0
         assert rec.predicted_band_height_rows == UNIFORM
-        assert rec.mode is TuningMode.SYNC
 
     def test_fps_range_end_survives_float_drift(self):
         # 0.1 to 0.3 in 0.1 steps has 3 grid points; 0.3 fps x 1 row
@@ -216,8 +214,10 @@ class TestTuning:
         assert rec.recommended_fps == pytest.approx(0.3)
 
     def test_mode_accepts_string(self):
-        rec = recommend_tuning(4500.0, (30.0, 30.0), (100, 100), mode="sync")
-        assert rec.mode is TuningMode.SYNC
+        args = (24000.0, (30.0, 30.0), (790, 810))
+        rec = recommend_tuning(*args, mode="sync")
+        assert rec == recommend_tuning(*args, mode=TuningMode.SYNC)
+        assert rec.recommended_frame_length_rows == 800
 
     @pytest.mark.parametrize(
         "args",

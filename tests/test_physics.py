@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rownoise import physics
 from rownoise.physics import (
     BOLTZMANN_K,
+    MAX_GRID_POINTS,
     UNIFORM,
     alias_and_band_height,
     fold_frequency,
@@ -94,13 +96,23 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             frequency_grid(*args)
 
+    def test_point_count_over_the_cap_is_rejected_before_building(self):
+        assert MAX_GRID_POINTS == 10**6
+        with pytest.raises(ValueError, match="has 1000000000000 points, more than the cap"):
+            frequency_grid(1.0, 1e12, 1.0)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(physics, "MAX_GRID_POINTS", 5)
+        assert frequency_grid(1.0, 5.0, 1.0) == [1.0, 2.0, 3.0, 4.0, 5.0]
+        with pytest.raises(ValueError, match="has 6 points"):
+            frequency_grid(1.0, 6.0, 1.0)
+
 
 class TestAliasModel:
     def test_exact_harmonic_is_uniform(self):
         res = alias_and_band_height(48000.0, 24000.0)
         assert res.alias_hz == 0.0
         assert res.band_height_rows == UNIFORM
-        assert res.is_uniform
 
     def test_midpoint_gives_band_of_one(self):
         res = alias_and_band_height(36000.0, 24000.0)

@@ -57,7 +57,7 @@ class TestConfigs:
             {"optical_black_rows": -1},
             {"blanking_rows": -1},
             {"fps": 0.0},
-            {"bit_depth": 12},
+            {"pedestal_dn": -1.0},
             {"pedestal_dn": 300.0},
             {"dn_per_volt": 0.0},
             {"channels": 2},
@@ -464,3 +464,19 @@ class TestScenarioJson:
     def test_non_object_section_rejected(self):
         with pytest.raises(ValueError):
             scenario_from_json('{"sensor": 3}')
+
+    def test_retired_bit_depth_8_is_dropped(self):
+        # Sensor sections written before bit_depth was retired carry 8.
+        old = scenario_from_json('{"sensor": {"width": 64, "bit_depth": 8}}')
+        assert old == SimScenario(sensor=SensorConfig(width=64))
+        assert "bit_depth" not in scenario_to_json(old)
+
+    @pytest.mark.parametrize("value", ["12", "8.0", "true", '"8"', "null"])
+    def test_retired_bit_depth_other_than_8_rejected(self, value):
+        with pytest.raises(ValueError, match="bit_depth"):
+            scenario_from_json(f'{{"sensor": {{"bit_depth": {value}}}}}')
+
+    @pytest.mark.parametrize("section", ["supply", "temporal", "spatial"])
+    def test_retired_bit_depth_only_in_the_sensor_section(self, section):
+        with pytest.raises(ValueError, match="unknown"):
+            scenario_from_json(f'{{"{section}": {{"bit_depth": 8}}}}')

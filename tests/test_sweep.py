@@ -3,7 +3,7 @@
 import math
 import shlex
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -404,6 +404,12 @@ class TestReport:
         with pytest.raises(ValueError, match="overflows"):
             analyze_report(result, BaselineSigma(k=1e308, window=2))
 
+    def test_overflowing_baseline_values_blame_the_baseline(self):
+        # The mean of two 1e308 points overflows, whatever k is.
+        result = SweepResult(points=[(100.0, 1e308), (200.0, 1e308), (300.0, 0.2)])
+        with pytest.raises(ValueError, match="baseline of the first 2 points"):
+            analyze_report(result, BaselineSigma(k=1.0, window=2))
+
     def test_text_fields(self):
         text = analyze_report(bump_result(), Absolute(0.3)).to_text()
         assert "Row Noise Start" in text
@@ -417,7 +423,7 @@ class TestReport:
         assert "no areas of concern" in text
 
     def test_json_dict_keys(self):
-        doc = analyze_report(bump_result(), Absolute(0.3)).to_json_dict()
+        doc = asdict(analyze_report(bump_result(), Absolute(0.3)))
         assert set(doc) == {
             "row_noise_start_hz",
             "peak_hz",
