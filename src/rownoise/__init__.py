@@ -13,7 +13,6 @@ from .sensor import (
     simulate_stack,
 )
 from .metric import (
-    ImageStack,
     RowNoiseResult,
     band_height_measure,
     row_means,

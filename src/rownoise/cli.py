@@ -23,12 +23,10 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import imageio, mitigation, physics, sweep as sweepmod
-from .metric import ImageStack, row_noise
+from .metric import row_noise
 from .sensor import PhaseMode, SimScenario, scenario_from_json, scenario_to_json, simulate_stack
 
 __all__ = ["main"]
-
-IMAGE_SUFFIXES = (".pgm", ".ppm", ".bmp")
 
 
 class UsageError(ValueError):
@@ -121,9 +119,7 @@ def _expand_inputs(paths: list[str]) -> list[Path]:
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            found = sorted(
-                q for q in p.glob("im*") if q.suffix.lower() in IMAGE_SUFFIXES
-            )
+            found = imageio.find_images(p)
             if not found:
                 raise FileNotFoundError(f"{p}: no im* images found")
             out.extend(found)
@@ -180,7 +176,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     frames = imageio.read_stack(paths)
     if frames[0].rows < 2:
         raise RuntimeError(f"{paths[0]}: row noise needs at least 2 rows, got {frames[0].rows}")
-    result = row_noise(ImageStack(frames))
+    result = row_noise(frames)
     if args.per_frame:
         for p, v in zip(paths, result.per_frame):
             print(f"{p.name}\t{v:.4f}")
@@ -246,18 +242,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.threshold is not None:
         mode: sweepmod.Absolute | sweepmod.BaselineSigma = sweepmod.Absolute(args.threshold)
     else:
-        mode = sweepmod.BaselineSigma(
-            k=args.sigma_k if args.sigma_k is not None else 5.0,
-            window=args.window if args.window is not None else 10,
-        )
+        given = {"k": args.sigma_k, "window": args.window}
+        mode = sweepmod.BaselineSigma(**{k: v for k, v in given.items() if v is not None})
     report = sweepmod.analyze_report(result, mode)
     text = report.to_text()
     sys.stdout.write(text)
-    threshold_doc = (
-        {"mode": "absolute", "value": mode.value}
-        if isinstance(mode, sweepmod.Absolute)
-        else {"mode": "baseline_sigma", "k": mode.k, "window": mode.window}
-    )
+    name = "absolute" if isinstance(mode, sweepmod.Absolute) else "baseline_sigma"
+    threshold_doc = {"mode": name, **asdict(mode)}
     for out, payload in ((args.json_out, None), (args.text_out, text)):
         if not out:
             continue

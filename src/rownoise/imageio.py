@@ -18,7 +18,11 @@ import numpy as np
 
 from .sensor import Frame
 
-__all__ = ["ImageParseError", "image_suffix", "write_image", "read_image", "read_stack"]
+__all__ = [
+    "ImageParseError", "image_suffix", "find_images", "write_image", "read_image", "read_stack",
+]
+
+IMAGE_SUFFIXES = (".pgm", ".ppm", ".bmp")
 
 
 class ImageParseError(ValueError):
@@ -28,6 +32,15 @@ class ImageParseError(ValueError):
 def image_suffix(channels: int) -> str:
     """The suffix write_image takes for a frame of this many channels."""
     return ".pgm" if channels == 1 else ".ppm"
+
+
+def find_images(directory: str | Path, pattern: str = "im*") -> list[Path]:
+    """The image files in directory whose names match pattern, in name
+    order. A file counts as an image by its suffix, any case, in
+    IMAGE_SUFFIXES, so a log or sidecar beside the images is skipped."""
+    return sorted(
+        p for p in Path(directory).glob(pattern) if p.suffix.lower() in IMAGE_SUFFIXES
+    )
 
 
 def write_image(frame: Frame, path: str | Path) -> None:

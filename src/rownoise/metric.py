@@ -16,7 +16,7 @@ so the two can check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .physics import UNIFORM
 from .sensor import Frame
 
 __all__ = [
-    "ImageStack",
     "RowNoiseResult",
     "EPS_BAND_DN",
     "row_means",
@@ -35,24 +34,6 @@ __all__ = [
 
 # Spectral amplitude (DN) below which a profile counts as uniform.
 EPS_BAND_DN = 1e-6
-
-
-@dataclass(frozen=True)
-class ImageStack:
-    """Frames of identical geometry measured together."""
-
-    frames: list[Frame] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.frames:
-            raise ValueError("stack needs at least one frame")
-        first = self.frames[0]
-        for i, f in enumerate(self.frames):
-            if (f.channels, f.rows, f.width) != (first.channels, first.rows, first.width):
-                raise ValueError(
-                    f"frame {i} is {f.channels}x{f.rows}x{f.width}, "
-                    f"expected {first.channels}x{first.rows}x{first.width}"
-                )
 
 
 @dataclass(frozen=True)
@@ -75,9 +56,12 @@ def row_noise_single(frame: Frame) -> float:
     return float(np.std(row_means(frame), axis=1, ddof=1).mean())
 
 
-def row_noise(stack: ImageStack) -> RowNoiseResult:
-    """Stack row noise: per-frame values and their average."""
-    per_frame = [row_noise_single(f) for f in stack.frames]
+def row_noise(frames: list[Frame]) -> RowNoiseResult:
+    """Stack row noise: per-frame values and their average. Each frame is
+    measured on its own, so the frames need not share a geometry."""
+    if not frames:
+        raise ValueError("stack needs at least one frame")
+    per_frame = [row_noise_single(f) for f in frames]
     return RowNoiseResult(per_frame=per_frame, average=sum(per_frame) / len(per_frame))
 
 

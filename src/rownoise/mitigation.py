@@ -37,7 +37,12 @@ __all__ = [
     "lowpass_offset_suppress",
     "recommend_tuning",
     "predict_filter_effect",
+    "TUNE_FPS_STEP",
+    "MAX_TUNE_CANDIDATES",
 ]
+
+TUNE_FPS_STEP = 0.01  # fps spacing of the tune grid
+MAX_TUNE_CANDIDATES = 10**8  # most (fps, frame length) pairs one search may try
 
 
 class TuningMode(str, Enum):
@@ -53,37 +58,21 @@ class TuningRecommendation:
     predicted_band_height_rows: float  # physics.UNIFORM when alias is 0
 
 
-def dark_reference_correct(
-    frame: Frame,
-    m_dark_cols: int,
-    dark_pixels: np.ndarray | None = None,
-    pedestal_dn: float = 16.0,
-) -> Frame:
+def dark_reference_correct(frame: Frame, m_dark_cols: int, pedestal_dn: float = 16.0) -> Frame:
     """Subtract each row's offset as seen by m signal-free reference pixels.
 
-    dark_pixels may supply shielded-pixel values of shape
-    (channels, rows, m_dark_cols); by default the frame's leftmost
-    m_dark_cols columns stand in, which is valid for dark captures
-    where every pixel is signal-free. The per-row, per-channel offset
-    is the dark mean minus the pedestal; the whole row is shifted by
-    it, then re-quantized.
+    The frame's leftmost m_dark_cols columns are the reference, which is
+    valid for dark captures where every pixel is signal-free. The
+    per-row, per-channel offset is the dark mean minus the pedestal; the
+    whole row is shifted by it, then re-quantized.
     """
     if m_dark_cols < 1:
         raise ValueError(f"m_dark_cols must be >= 1, got {m_dark_cols}")
     if not 0 <= pedestal_dn <= MAX_DN:
         raise ValueError(f"pedestal_dn must be in [0, {MAX_DN}], got {pedestal_dn}")
-    if dark_pixels is None:
-        if m_dark_cols > frame.width:
-            raise ValueError(
-                f"m_dark_cols {m_dark_cols} exceeds frame width {frame.width}"
-            )
-        dark_pixels = frame.pixels[:, :, :m_dark_cols]
-    expected = (frame.channels, frame.rows, m_dark_cols)
-    if dark_pixels.shape != expected:
-        raise ValueError(
-            f"dark pixels must have shape {expected}, got {dark_pixels.shape}"
-        )
-    offsets = dark_pixels.astype(np.float64).mean(axis=2) - pedestal_dn
+    if m_dark_cols > frame.width:
+        raise ValueError(f"m_dark_cols {m_dark_cols} exceeds frame width {frame.width}")
+    offsets = frame.pixels[:, :, :m_dark_cols].astype(np.float64).mean(axis=2) - pedestal_dn
     corrected = frame.pixels.astype(np.float64) - offsets[:, :, None]
     return Frame(pixels=quantize_dn(corrected))
 
@@ -125,14 +114,15 @@ def recommend_tuning(
     fps_range: tuple[float, float],
     frame_length_range: tuple[int, int],
     mode: TuningMode = TuningMode.MAX_SEPARATION,
-    fps_step: float = 0.01,
 ) -> TuningRecommendation:
     """Search sensor timing for the best alias placement.
 
-    The grid covers fps in fps_step increments and every integer frame
-    length in range. SYNC minimizes the alias (0 means the disturbance
-    becomes a uniform frame shift); MAX_SEPARATION maximizes it. Ties
-    resolve to the lower fps, then the lower frame length.
+    The grid covers fps in TUNE_FPS_STEP increments and every integer
+    frame length in range. SYNC minimizes the alias (0 means the
+    disturbance becomes a uniform frame shift); MAX_SEPARATION maximizes
+    it. Ties resolve to the lower fps, then the lower frame length. More
+    than physics.MAX_GRID_POINTS frame lengths or MAX_TUNE_CANDIDATES
+    pairs is rejected before the search starts.
     """
     if not 0 < f_noise_hz < math.inf:
         raise ValueError(f"f_noise_hz must be positive and finite, got {f_noise_hz}")
@@ -142,28 +132,30 @@ def recommend_tuning(
     fl_lo, fl_hi = frame_length_range
     if fl_lo < 1 or fl_hi < fl_lo:
         raise ValueError(f"bad frame length range {frame_length_range}")
-    if fps_step <= 0:
-        raise ValueError(f"fps_step must be positive, got {fps_step}")
+    n_lengths = fl_hi - fl_lo + 1
+    if n_lengths > physics.MAX_GRID_POINTS:
+        raise ValueError(
+            f"frame lengths {fl_lo} to {fl_hi} are {n_lengths} values, "
+            f"more than the cap of {physics.MAX_GRID_POINTS}"
+        )
     physics.line_frequency(fps_hi, fl_hi)  # the highest line rate on the grid is finite
 
-    fps_grid = np.array(physics.frequency_grid(fps_lo, fps_hi, fps_step))
-    mode = TuningMode(mode)
-
-    best: tuple[float, float, int] | None = None  # (alias, fps, frame_length)
-    for frame_length in range(fl_lo, fl_hi + 1):
-        alias = physics.fold_frequency(f_noise_hz, fps_grid * frame_length)
-        idx = int(np.argmin(alias) if mode is TuningMode.SYNC else np.argmax(alias))
-        candidate = (float(alias[idx]), float(fps_grid[idx]), frame_length)
-        if best is None:
-            best = candidate
-            continue
-        better = (
-            candidate[0] < best[0] if mode is TuningMode.SYNC else candidate[0] > best[0]
+    fps_grid = np.array(physics.frequency_grid(fps_lo, fps_hi, TUNE_FPS_STEP))
+    n_candidates = len(fps_grid) * n_lengths
+    if n_candidates > MAX_TUNE_CANDIDATES:
+        raise ValueError(
+            f"{len(fps_grid)} fps points x {n_lengths} frame lengths are {n_candidates} "
+            f"tune candidates, more than the cap of {MAX_TUNE_CANDIDATES}"
         )
-        if better or (candidate[0] == best[0] and candidate[1:] < best[1:]):
-            best = candidate
+    # min picks the lowest signed alias, then the lowest fps and frame length.
+    sign = 1.0 if TuningMode(mode) is TuningMode.SYNC else -1.0
 
-    alias_hz, fps, frame_length = best
+    def best_fps(frame_length: int) -> tuple[float, float, int]:
+        score = sign * physics.fold_frequency(f_noise_hz, fps_grid * frame_length)
+        idx = int(np.argmin(score))
+        return float(score[idx]), float(fps_grid[idx]), frame_length
+
+    _, fps, frame_length = min(best_fps(fl) for fl in range(fl_lo, fl_hi + 1))
     f_line = physics.line_frequency(fps, frame_length)
     band = physics.alias_and_band_height(f_noise_hz, f_line)
     return TuningRecommendation(

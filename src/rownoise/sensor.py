@@ -60,7 +60,6 @@ __all__ = [
     "SimScenario",
     "Frame",
     "FpnMaps",
-    "supply_noise_sample",
     "rc_attenuation",
     "pink_noise",
     "quantize_dn",
@@ -306,24 +305,6 @@ def rc_attenuation(freq_hz: float, cutoff_hz: float | None) -> tuple[float, floa
     return 1.0 / math.sqrt(1.0 + ratio * ratio), -math.atan(ratio)
 
 
-def supply_noise_sample(supply: SupplyNoiseConfig, t, extra_phase_rad: float = 0.0):
-    """Rail disturbance voltage at time t (scalar or array).
-
-    Sinusoid of peak amplitude_vpp/2, attenuated and phase-lagged by the
-    optional RC filter. extra_phase_rad carries the per-frame random
-    phase in RANDOM_PER_FRAME mode.
-    """
-    gain, phase_lag = rc_attenuation(supply.frequency_hz, supply.rc_cutoff_hz)
-    amplitude = 0.5 * supply.amplitude_vpp * gain
-    arg = (
-        2.0 * math.pi * supply.frequency_hz * np.asarray(t, dtype=np.float64)
-        + supply.phase_rad
-        + phase_lag
-        + extra_phase_rad
-    )
-    return amplitude * np.sin(arg)
-
-
 def pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     """1/f noise by multi-rate summation.
 
@@ -400,27 +381,26 @@ def generate_fpn_maps(seed: int, sensor: SensorConfig, spatial: SpatialNoiseConf
     return FpnMaps(pixel_offset_dn=pixel, column_offset_dn=column)
 
 
-def _frame_phase(scenario: SimScenario, frame_index: int) -> tuple[np.ndarray, float]:
-    """Row sample times plus any per-frame phase draw."""
-    sensor = scenario.sensor
-    rows = np.arange(sensor.readout_rows, dtype=np.float64)
-    if scenario.supply.phase_mode is PhaseMode.RANDOM_PER_FRAME:
-        t = rows / sensor.line_frequency_hz
-        extra = float(
-            _stream(scenario.seed, frame_index, _TAG_PHASE).uniform(0.0, 2.0 * math.pi)
-        )
-        return t, extra
-    t = frame_index / sensor.fps + rows / sensor.line_frequency_hz
-    return t, 0.0
-
-
 def row_supply_offsets_dn(scenario: SimScenario, frame_index: int) -> np.ndarray:
-    """Per-row DN offset injected by the supply disturbance, pre-quantization."""
+    """Per-row DN offset injected by the supply disturbance, pre-quantization:
+    the RC-filtered rail sinusoid, peak amplitude_vpp / 2, sampled at each
+    row's readout time (module doc), plus a random phase per frame in
+    RANDOM_PER_FRAME mode, where every frame's clock starts at 0."""
     if frame_index < 0:
         raise ValueError(f"frame_index must be >= 0, got {frame_index}")
-    t, extra = _frame_phase(scenario, frame_index)
-    volts = supply_noise_sample(scenario.supply, t, extra_phase_rad=extra)
-    return scenario.supply.coupling_gain * scenario.sensor.dn_per_volt * volts
+    sensor, supply = scenario.sensor, scenario.supply
+    t = np.arange(sensor.readout_rows, dtype=np.float64) / sensor.line_frequency_hz
+    extra_phase = 0.0
+    if supply.phase_mode is PhaseMode.RANDOM_PER_FRAME:
+        extra_phase = float(
+            _stream(scenario.seed, frame_index, _TAG_PHASE).uniform(0.0, 2.0 * math.pi)
+        )
+    else:
+        t = frame_index / sensor.fps + t
+    gain, phase_lag = rc_attenuation(supply.frequency_hz, supply.rc_cutoff_hz)
+    arg = 2.0 * math.pi * supply.frequency_hz * t + supply.phase_rad + phase_lag + extra_phase
+    volts = 0.5 * supply.amplitude_vpp * gain * np.sin(arg)
+    return supply.coupling_gain * sensor.dn_per_volt * volts
 
 
 @_finite_arithmetic()

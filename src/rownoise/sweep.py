@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import imageio, physics
-from .metric import ImageStack, row_noise
+from .metric import row_noise
 from .sensor import (
     SimScenario,
     _build_section,
@@ -42,7 +42,6 @@ __all__ = [
     "CharacterizationReport",
     "CsvParseError",
     "CaptureError",
-    "sweep_frequencies",
     "run_sweep",
     "write_csv",
     "read_csv",
@@ -77,9 +76,9 @@ class CaptureSource:
     """External capture command, run once per frequency step.
 
     command is a shell template with {freq} (integer Hz) and {amp}
-    (decimal Vpp) placeholders. After it exits 0, images matching
-    pattern under image_dir are ingested in lexicographic order. The
-    command must overwrite its previous output.
+    (decimal Vpp) placeholders. After it exits 0, the images in image_dir
+    whose names match pattern are ingested as imageio.find_images lists
+    them. The command must overwrite its previous output.
     """
 
     command: str
@@ -144,11 +143,6 @@ class SweepResult:
         return [v for _, v in self.points]
 
 
-def sweep_frequencies(config: SweepConfig) -> list[float]:
-    """start, start+step, ... up to and including end when it lands on the grid."""
-    return physics.frequency_grid(config.start_hz, config.end_hz, config.step_hz)
-
-
 def _step_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1)[0])
 
@@ -161,7 +155,7 @@ def _measure_simulated(config: SweepConfig, index: int, freq: float) -> tuple[fl
         seed=_step_seed(config.seed, index),
     )
     frames = simulate_stack(scenario, config.frames_per_step)
-    return row_noise(ImageStack(frames)).average, len(frames)
+    return row_noise(frames).average, len(frames)
 
 
 def _measure_captured(config: SweepConfig, freq: float) -> tuple[float, int]:
@@ -174,18 +168,18 @@ def _measure_captured(config: SweepConfig, freq: float) -> tuple[float, int]:
             f"capture command failed at {freq} Hz (exit {proc.returncode})"
             + (f": {detail}" if detail else "")
         )
-    paths = sorted(Path(src.image_dir).glob(src.pattern))
+    paths = imageio.find_images(src.image_dir, src.pattern)
     if not paths:
         raise RuntimeError(
             f"capture at {freq} Hz produced no images matching "
             f"{src.pattern!r} in {src.image_dir}"
         )
     frames = imageio.read_stack(paths)
-    return row_noise(ImageStack(frames)).average, len(frames)
+    return row_noise(frames).average, len(frames)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    freqs = sweep_frequencies(config)
+    freqs = physics.frequency_grid(config.start_hz, config.end_hz, config.step_hz)
 
     if isinstance(config.source, CaptureSource):
         # External command plus shared output directory: inherently serial.
@@ -381,17 +375,14 @@ def analyze_report(
     )
 
 
-def emit_plot_data(
-    result: SweepResult, svg_path: str | Path, data_path: str | Path | None = None
-) -> None:
-    """Write a self-contained SVG line chart plus a two-column data file."""
+def emit_plot_data(result: SweepResult, svg_path: str | Path) -> None:
+    """Write a self-contained SVG line chart plus a two-column data file
+    of the same name with the suffix .dat."""
     if not result.points:
         raise ValueError("sweep result has no points")
     svg_path = Path(svg_path)
-    if data_path is None:
-        data_path = svg_path.with_suffix(".dat")
     data_lines = [f"{_format_freq(f)} {v:.4f}" for f, v in result.points]
-    Path(data_path).write_text("\n".join(data_lines) + "\n")
+    svg_path.with_suffix(".dat").write_text("\n".join(data_lines) + "\n")
     svg_path.write_text(_render_svg(result))
 
 

@@ -15,7 +15,6 @@ from scipy import signal
 from oracle import oracle_row_noise
 
 from rownoise.metric import (
-    ImageStack,
     band_height_measure,
     row_means,
     row_noise,
@@ -65,7 +64,7 @@ def banded(freq_hz, amp=1.0, phase=0.0, sensor=VGA, seed=0, rc=None, temporal=No
 
 
 def average_row_noise(scenario, n_frames):
-    return row_noise(ImageStack(simulate_stack(scenario, n_frames))).average
+    return row_noise(simulate_stack(scenario, n_frames)).average
 
 
 @contextmanager

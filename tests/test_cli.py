@@ -354,6 +354,16 @@ class TestSweepCli:
         assert "partial" in capsys.readouterr().err
         assert csv.read_text().splitlines() == ["frequency_hz,row_noise", "100,0.0000"]
 
+    def test_capture_reads_only_images_as_analyze_does(self, tmp_path, capsys):
+        cmd, rig_dir = self.capture_rig(tmp_path)
+        (rig_dir / "im.log").write_text("hi\n")  # matches the im* pattern
+        csv = tmp_path / "cap.csv"
+        assert main(["sweep", "--start", "100", "--end", "100", "--step", "100",
+                     "--capture-cmd", cmd, "--capture-dir", str(rig_dir),
+                     "--out", str(csv)]) == 0
+        assert csv.read_text().splitlines() == ["frequency_hz,row_noise", "100,0.0000"]
+        assert main(["analyze", str(rig_dir)]) == 0
+
     def test_capture_cmd_requires_capture_dir(self, tmp_path):
         assert main(["sweep", "--capture-cmd", "true",
                      "--out", str(tmp_path / "x.csv")]) == 2
@@ -683,6 +693,23 @@ class TestReportCli:
         assert doc["areas_of_concern_hz"] == [[60_000.0, 140_000.0]]
         assert (tmp_path / "report.json.config.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags,threshold",
+        [
+            ([], {"mode": "baseline_sigma", "k": 5.0, "window": 10}),
+            (["--window", "4"], {"mode": "baseline_sigma", "k": 5.0, "window": 4}),
+            (["--sigma-k", "2"], {"mode": "baseline_sigma", "k": 2.0, "window": 10}),
+            (["--threshold", "0.3"], {"mode": "absolute", "value": 0.3}),
+        ],
+        ids=["defaults", "window", "sigma_k", "absolute"],
+    )
+    def test_sidecar_records_the_threshold_used(self, tmp_path, flags, threshold):
+        report = tmp_path / "report.txt"
+        assert main(["report", "--csv", str(bump_csv(tmp_path)), *flags,
+                     "--text", str(report)]) == 0
+        sidecar = json.loads((tmp_path / "report.txt.config.json").read_text())
+        assert sidecar["threshold"] == threshold
+
     def test_threshold_flags_are_exclusive(self, tmp_path):
         assert main(["report", "--csv", str(bump_csv(tmp_path)),
                      "--threshold", "0.3", "--sigma-k", "5"]) == 2
@@ -817,6 +844,18 @@ class TestMitigateCli:
         assert main(["mitigate", *flags, "--out-dir", str(out), str(src)]) == 2
         assert "exceeds frame" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fps,lengths", [(("30", "30"), ("1", "1000001")), (("15", "60"), ("1", "30000"))],
+        ids=["frame_lengths", "candidates"],
+    )
+    def test_tune_search_over_the_cap_is_usage_error(self, capsys, fps, lengths):
+        assert main(["mitigate", "--method", "tune", "--noise-freq", "24000",
+                     "--fps-min", fps[0], "--fps-max", fps[1],
+                     "--frame-length-min", lengths[0], "--frame-length-max", lengths[1]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "cap of" in err
 
     def test_tune_missing_flags_is_usage_error(self, capsys):
         assert main(["mitigate", "--method", "tune", "--noise-freq", "24000"]) == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rownoise.imageio import ImageParseError, read_image, read_stack, write_image
+from rownoise.imageio import ImageParseError, find_images, read_image, read_stack, write_image
 from rownoise.sensor import Frame
 
 
@@ -28,6 +28,14 @@ def _bmp_bytes(width, height, rows_bottom_up, bpp=24, compression=0):
         "<IiiHHIIiiII", 40, width, height, 1, bpp, compression, len(payload), 0, 0, 0, 0
     )
     return bytes(header + info + payload)
+
+
+class TestFindImages:
+    def test_pattern_suffix_and_name_order(self, tmp_path):
+        for name in ("im2.pgm", "im10.PPM", "im1.bmp", "im.log", "im3.pgm.txt", "x1.pgm"):
+            (tmp_path / name).write_bytes(b"")
+        assert [p.name for p in find_images(tmp_path)] == ["im1.bmp", "im10.PPM", "im2.pgm"]
+        assert [p.name for p in find_images(tmp_path, "x*")] == ["x1.pgm"]
 
 
 class TestWriter:

@@ -10,12 +10,15 @@ from scipy.ndimage import median_filter
 
 from rownoise.metric import row_noise_single
 from rownoise.mitigation import (
+    MAX_TUNE_CANDIDATES,
+    TUNE_FPS_STEP,
     TuningMode,
     dark_reference_correct,
     lowpass_offset_suppress,
     predict_filter_effect,
     recommend_tuning,
 )
+from rownoise import physics
 from rownoise.physics import UNIFORM
 from rownoise.sensor import (
     Frame,
@@ -55,20 +58,6 @@ class TestDarkReference:
         frame = simulate_frame(sc, 0)
         fixed = dark_reference_correct(frame, 4, pedestal_dn=128.0)
         assert np.array_equal(fixed.pixels, frame.pixels)
-
-    def test_explicit_dark_pixels_match_default(self):
-        frame = banded_frame()
-        shielded = frame.pixels[:, :, :3].copy()
-        a = dark_reference_correct(frame, 3, pedestal_dn=128.0)
-        b = dark_reference_correct(frame, 3, dark_pixels=shielded, pedestal_dn=128.0)
-        assert np.array_equal(a.pixels, b.pixels)
-
-    def test_dark_pixel_shape_checked(self):
-        frame = banded_frame()
-        with pytest.raises(ValueError):
-            dark_reference_correct(
-                frame, 3, dark_pixels=np.zeros((1, 4, 3), dtype=np.uint8)
-            )
 
     @pytest.mark.parametrize("pedestal", [math.nan, math.inf, -math.inf, -1.0, 255.5])
     def test_pedestal_must_be_a_dn_level(self, pedestal):
@@ -208,10 +197,31 @@ class TestTuning:
         assert rec.predicted_band_height_rows == UNIFORM
 
     def test_fps_range_end_survives_float_drift(self):
-        # 0.1 to 0.3 in 0.1 steps has 3 grid points; 0.3 fps x 1 row
-        # folds 0.15 Hz to 0.15 Hz, the widest separation on offer.
-        rec = recommend_tuning(0.15, (0.1, 0.3), (1, 1), fps_step=0.1)
+        # (0.3 - 0.1) / 0.01 is 19.999999999999996 in float64, yet the grid
+        # keeps its 21st point; 0.3 fps x 1 row folds 0.15 Hz to 0.15 Hz,
+        # the widest separation on offer.
+        rec = recommend_tuning(0.15, (0.1, 0.3), (1, 1))
         assert rec.recommended_fps == pytest.approx(0.3)
+
+    @pytest.mark.parametrize(
+        "fps_range,frame_length_range,counts",
+        [
+            ((30.0, 30.0), (1, 10**6 + 1), ["1000001 values", "cap of 1000000"]),
+            ((15.0, 60.0), (1, 30000), ["4501 fps points", "30000 frame lengths",
+                                        "135030000", f"cap of {MAX_TUNE_CANDIDATES}"]),
+        ],
+        ids=["frame_lengths", "candidates"],
+    )
+    def test_search_over_the_cap_is_rejected_before_it_runs(
+        self, monkeypatch, fps_range, frame_length_range, counts
+    ):
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(physics, "fold_frequency", no_search)
+        with pytest.raises(ValueError) as err:
+            recommend_tuning(24000.0, fps_range, frame_length_range)
+        assert all(c in str(err.value) for c in counts), str(err.value)
 
     def test_mode_accepts_string(self):
         args = (24000.0, (30.0, 30.0), (790, 810))
@@ -241,21 +251,18 @@ class TestTuning:
     @given(
         st.floats(min_value=100.0, max_value=50_000.0),
         st.floats(min_value=10.0, max_value=40.0),
-        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=300),
         st.integers(min_value=50, max_value=600),
         st.integers(min_value=0, max_value=3),
         st.sampled_from([TuningMode.SYNC, TuningMode.MAX_SEPARATION]),
     )
     def test_matches_brute_force_search(self, f_noise, fps_lo, fps_n, fl_lo, fl_n, mode):
-        fps_step = 0.5
-        fps_hi = fps_lo + fps_n * fps_step
+        fps_hi = fps_lo + fps_n * TUNE_FPS_STEP
         fl_hi = fl_lo + fl_n
-        rec = recommend_tuning(
-            f_noise, (fps_lo, fps_hi), (fl_lo, fl_hi), mode=mode, fps_step=fps_step
-        )
+        rec = recommend_tuning(f_noise, (fps_lo, fps_hi), (fl_lo, fl_hi), mode=mode)
         best = None
         for i in range(fps_n + 1):
-            fps = fps_lo + fps_step * i
+            fps = fps_lo + TUNE_FPS_STEP * i
             for fl in range(fl_lo, fl_hi + 1):
                 f_line = fps * fl
                 r = math.fmod(f_noise, f_line)

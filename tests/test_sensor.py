@@ -24,7 +24,6 @@ from rownoise.sensor import (
     simulate_frame,
     simulate_frame_analog,
     simulate_stack,
-    supply_noise_sample,
 )
 
 # Small, fast geometry: frame length 100 rows at 30 fps -> 3 kHz line rate.
@@ -135,27 +134,28 @@ class TestConfigs:
 
 
 class TestSupplySample:
+    # 40 fps x 100 rows: row r of frame 0 is read at r / 4000 s. With 1 DN
+    # per volt the offsets are the rail voltage.
+    UNIT = SensorConfig(width=4, active_rows=8, blanking_rows=92, fps=40.0, dn_per_volt=1.0)
+
+    def offsets(self, **supply):
+        sc = SimScenario(sensor=self.UNIT, supply=SupplyNoiseConfig(amplitude_vpp=1.0, **supply))
+        return row_supply_offsets_dn(sc, 0)
+
     def test_zero_crossing_at_t0(self):
-        cfg = SupplyNoiseConfig(frequency_hz=1000.0, amplitude_vpp=1.0)
-        assert supply_noise_sample(cfg, 0.0) == 0.0
+        assert self.offsets(frequency_hz=1000.0)[0] == 0.0
 
     def test_quarter_period_peak(self):
-        cfg = SupplyNoiseConfig(frequency_hz=1000.0, amplitude_vpp=1.0)
-        assert float(supply_noise_sample(cfg, 1.0 / 4000.0)) == pytest.approx(
-            0.5, abs=1e-12
-        )
+        # Row 1 is read a quarter period of 1 kHz after row 0.
+        assert self.offsets(frequency_hz=1000.0)[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_rc_filtered_peak_at_ten_times_cutoff(self):
-        cfg = SupplyNoiseConfig(
-            frequency_hz=1000.0, amplitude_vpp=1.0, rc_cutoff_hz=100.0
-        )
-        gain, lag = rc_attenuation(cfg.frequency_hz, cfg.rc_cutoff_hz)
+        gain, lag = rc_attenuation(1000.0, 100.0)
         assert gain == pytest.approx(1.0 / math.sqrt(101.0))
         assert lag == pytest.approx(-math.atan(10.0))
-        t_peak = (math.pi / 2.0 - lag) / (2.0 * math.pi * cfg.frequency_hz)
-        assert float(supply_noise_sample(cfg, t_peak)) == pytest.approx(
-            0.04975, abs=1e-5
-        )
+        # A phase of pi/2 - lag puts the filtered peak on row 0.
+        peak = self.offsets(frequency_hz=1000.0, rc_cutoff_hz=100.0, phase_rad=math.pi / 2 - lag)
+        assert peak[0] == pytest.approx(0.04975, abs=1e-5)
 
     def test_no_filter_passthrough(self):
         assert rc_attenuation(5000.0, None) == (1.0, 0.0)

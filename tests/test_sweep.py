@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rownoise.metric import ImageStack, row_noise
+from rownoise.metric import row_noise
+from rownoise.physics import frequency_grid
 from rownoise.sensor import (
     SensorConfig,
     SimScenario,
@@ -32,7 +33,6 @@ from rownoise.sweep import (
     run_sweep,
     sweep_config_from_json,
     sweep_config_to_json,
-    sweep_frequencies,
     write_csv,
 )
 
@@ -49,24 +49,20 @@ def quiet_scenario(phase_rad=0.0):
 
 class TestGrid:
     def test_hundred_points(self):
-        cfg = SweepConfig(start_hz=50.0, end_hz=100_000.0, step_hz=1000.0)
-        freqs = sweep_frequencies(cfg)
+        freqs = frequency_grid(50.0, 100_000.0, 1000.0)
         assert len(freqs) == 100
         assert freqs[0] == 50.0
         assert freqs[-1] == 99_050.0
 
     def test_single_point_when_start_equals_end(self):
-        cfg = SweepConfig(start_hz=4110.0, end_hz=4110.0, step_hz=1000.0)
-        assert sweep_frequencies(cfg) == [4110.0]
+        assert frequency_grid(4110.0, 4110.0, 1000.0) == [4110.0]
 
     def test_end_on_grid_is_included(self):
-        cfg = SweepConfig(start_hz=100.0, end_hz=500.0, step_hz=100.0)
-        assert sweep_frequencies(cfg) == [100.0, 200.0, 300.0, 400.0, 500.0]
+        assert frequency_grid(100.0, 500.0, 100.0) == [100.0, 200.0, 300.0, 400.0, 500.0]
 
     def test_end_survives_float_drift(self):
         # (0.3 - 0.1) / 0.1 is 1.9999999999999998 in float64.
-        cfg = SweepConfig(start_hz=0.1, end_hz=0.3, step_hz=0.1)
-        freqs = sweep_frequencies(cfg)
+        freqs = frequency_grid(0.1, 0.3, 0.1)
         assert len(freqs) == 3
         assert freqs[-1] == pytest.approx(0.3)
 
@@ -108,7 +104,7 @@ class TestRunSweep:
         direct = replace(
             sc, supply=replace(sc.supply, frequency_hz=freq, amplitude_vpp=1.0)
         )
-        expected = row_noise(ImageStack(simulate_stack(direct, 1))).average
+        expected = row_noise(simulate_stack(direct, 1)).average
         assert result.points[0] == (freq, expected)
 
     def test_harmonic_null_and_off_harmonic_plateau(self):
@@ -447,11 +443,6 @@ class TestPlot:
         dat = (tmp_path / "curve.dat").read_text().splitlines()
         assert len(dat) == 3
         assert all(len(line.split()) == 2 for line in dat)
-
-    def test_explicit_data_path(self, tmp_path):
-        result = SweepResult(points=[(100.0, 1.0), (200.0, 2.0)])
-        emit_plot_data(result, tmp_path / "c.svg", tmp_path / "c.txt")
-        assert (tmp_path / "c.txt").exists()
 
     def test_empty_result_rejected(self, tmp_path):
         with pytest.raises(ValueError):
