@@ -81,6 +81,16 @@ SCENARIOS = {
         ),
         seed=17,
     ),
+    # Start phase, RC lag and random frame phase all nonzero: the order of
+    # the phase sum.
+    "phase_rc_random": SimScenario(
+        sensor=SMALL,
+        supply=SupplyNoiseConfig(
+            frequency_hz=1730.0, amplitude_vpp=0.3, phase_rad=0.9, rc_cutoff_hz=5000.0,
+            phase_mode=PhaseMode.RANDOM_PER_FRAME,
+        ),
+        seed=19,
+    ),
     # Three channels with every source on: the broadcasts over channels.
     "rgb_all_sources": SimScenario(
         sensor=SensorConfig(
@@ -105,6 +115,7 @@ FRAME_PINS = {
     "flicker": "160cc5644b585940a1382f3192cc75abc1d9bb99eac2588c2efc9fd4d2e19b9d",
     "dsnu_column_fpn": "a18c5a28c9773627af453220214fe8d523572ab2e59ffea2f4a2a2e4bec887de",
     "random_phase": "07041f7d405f91d613889cda057cead50130b0389e2c0b275992de895040c425",
+    "phase_rc_random": "6d04b98068e5311a0f191f1654fde6e12486d752b62120b37279516978c1aa55",
     "rgb_all_sources": "bd0a25eca409a780d0e1d59b4035b1dfac5e926fdd6e6d25d54a54418cea830d",
 }
 
