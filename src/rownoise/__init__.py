@@ -27,7 +27,6 @@ from .sweep import (
     CharacterizationReport,
     SimulateSource,
     SweepConfig,
-    SweepResult,
     analyze_report,
     run_sweep,
 )

@@ -58,8 +58,9 @@ def _add_scenario_flags(p: argparse.ArgumentParser, at: str = "") -> None:
     add(g, "--channels", "sensor.channels", type=int, choices=(1, 3))
 
     s = p.add_argument_group("supply disturbance")
-    add(s, "--noise-freq", "supply.frequency_hz", type=float, help="Hz")
-    add(s, "--noise-amp", "supply.amplitude_vpp", type=float, help="Vpp")
+    if not at:  # a sweep sets the frequency and the amplitude at each point
+        add(s, "--noise-freq", "supply.frequency_hz", type=float, help="Hz")
+        add(s, "--noise-amp", "supply.amplitude_vpp", type=float, help="Vpp")
     add(s, "--noise-phase", "supply.phase_rad", type=float, help="radians")
     add(s, "--coupling-gain", "supply.coupling_gain", type=float)
     add(s, "--phase-mode", "supply.phase_mode", choices=[m.value for m in PhaseMode])
@@ -125,8 +126,6 @@ def _expand_inputs(paths: list[str]) -> list[Path]:
             out.extend(found)
         else:
             out.append(p)
-    if not out:
-        raise UsageError("no input images given")
     return out
 
 
@@ -154,7 +153,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ext = imageio.image_suffix(scenario.sensor.channels)
     names = []
     for i, frame in enumerate(stack, start=1):
-        name = f"{args.prefix}{i}{ext}"
+        name = f"im{i}{ext}"  # the im* names that analyze, mitigate and sweep read
         imageio.write_image(frame, out_dir / name)
         names.append(name)
     _write_sidecar(
@@ -163,7 +162,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "command": "simulate",
             "frames": n,
             "out_dir": str(out_dir),
-            "prefix": args.prefix,
             "scenario": json.loads(scenario_to_json(scenario)),
         },
     )
@@ -214,13 +212,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _sweep_config_from_args(args)
     out = Path(args.out)
     try:
-        result = sweepmod.run_sweep(config)
+        points = sweepmod.run_sweep(config)
     except sweepmod.CaptureError as exc:
         # Save what completed so a partial bench run is not lost.
         sweepmod.write_csv(exc.partial, out)
         print(f"error: {exc} (partial results saved to {out})", file=sys.stderr)
         return 1
-    sweepmod.write_csv(result, out)
+    sweepmod.write_csv(points, out)
     _write_sidecar(
         Path(f"{out}.config.json"),
         {
@@ -230,21 +228,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         },
     )
     if args.plot:
-        sweepmod.emit_plot_data(result, args.plot)
-    print(f"wrote {len(result.points)} points to {out}")
+        sweepmod.emit_plot_data(points, args.plot)
+    print(f"wrote {len(points)} points to {out}")
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     if args.threshold is not None and (args.sigma_k is not None or args.window is not None):
         raise UsageError("--threshold excludes --sigma-k/--window")
-    result = sweepmod.read_csv(args.csv)
+    points = sweepmod.read_csv(args.csv)
     if args.threshold is not None:
         mode: sweepmod.Absolute | sweepmod.BaselineSigma = sweepmod.Absolute(args.threshold)
     else:
         given = {"k": args.sigma_k, "window": args.window}
         mode = sweepmod.BaselineSigma(**{k: v for k, v in given.items() if v is not None})
-    report = sweepmod.analyze_report(result, mode)
+    report = sweepmod.analyze_report(points, mode)
     text = report.to_text()
     sys.stdout.write(text)
     name = "absolute" if isinstance(mode, sweepmod.Absolute) else "baseline_sigma"
@@ -354,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="scenario JSON (or a simulate sidecar)")
     p.add_argument("--frames", type=int)
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--prefix", default="im")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="measure row noise of images")

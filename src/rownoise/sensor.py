@@ -44,7 +44,7 @@ import math
 import numbers
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
 
 import numpy as np
@@ -476,9 +476,10 @@ _RETIRED_KEYS = {
 
 
 def _build_section(cls, section, name: str, **parts):
-    """cls from one document section, with already built sub-sections in
-    parts. A section that is not an object, has unknown keys or lacks a
-    required one raises ValueError naming it."""
+    """cls from one document section. A field whose default is a config
+    dataclass is built from its own sub-section, unless parts gives it.
+    A section that is not an object, has unknown keys or lacks a required
+    one raises ValueError naming it by its path in the document."""
     if not isinstance(section, dict):
         raise ValueError(f"{name} must be an object")
     section = dict(section)
@@ -490,6 +491,9 @@ def _build_section(cls, section, name: str, **parts):
     unknown = set(section) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.name in section and f.name not in parts and is_dataclass(f.default_factory):
+            parts[f.name] = _build_section(f.default_factory, section[f.name], f"{name}.{f.name}")
     try:
         return cls(**{**section, **parts})
     except TypeError as exc:
@@ -498,15 +502,4 @@ def _build_section(cls, section, name: str, **parts):
 
 def scenario_from_json(text: str) -> SimScenario:
     """Inverse of scenario_to_json. Missing fields take their defaults."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("scenario document must be a JSON object")
-    sections = dict(
-        sensor=SensorConfig, supply=SupplyNoiseConfig,
-        temporal=TemporalNoiseConfig, spatial=SpatialNoiseConfig,
-    )
-    parts = {
-        key: _build_section(cls, doc[key], f"scenario section {key!r}")
-        for key, cls in sections.items() if key in doc
-    }
-    return _build_section(SimScenario, doc, "scenario", **parts)
+    return _build_section(SimScenario, json.loads(text), "scenario")

@@ -6,9 +6,10 @@ noise starts, where it peaks and which frequency ranges are of concern.
 
 Points come either from the built-in simulator or from an external
 capture command (a bench supply or signal generator wrapper) that drops
-image files into a directory. Simulated steps are independent and may
-run on several worker threads; results are assembled by step index, so
-the output is bit-identical for any worker count.
+image files into a directory. A sweep is its list of (frequency, row
+noise) points in ascending frequency. Simulated steps are independent
+and run on a pool of worker threads; results are assembled by step
+index, so the output is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -24,19 +25,12 @@ import numpy as np
 
 from . import imageio, physics
 from .metric import row_noise
-from .sensor import (
-    SimScenario,
-    _build_section,
-    _check_field_types,
-    scenario_from_json,
-    simulate_stack,
-)
+from .sensor import SimScenario, _build_section, _check_field_types, simulate_stack
 
 __all__ = [
     "SimulateSource",
     "CaptureSource",
     "SweepConfig",
-    "SweepResult",
     "Absolute",
     "BaselineSigma",
     "CharacterizationReport",
@@ -61,7 +55,7 @@ class CsvParseError(ValueError):
 class CaptureError(RuntimeError):
     """A capture step failed. Partial results up to the failure are attached."""
 
-    def __init__(self, message: str, partial: "SweepResult"):
+    def __init__(self, message: str, partial: list[tuple[float, float]]):
         super().__init__(message)
         self.partial = partial
 
@@ -125,40 +119,31 @@ class SweepConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Measured (frequency, row noise) points in ascending frequency."""
-
-    points: list[tuple[float, float]]
-    frames_per_point: list[int] = field(default_factory=list)
-
-    @property
-    def frequencies(self) -> list[float]:
-        return [f for f, _ in self.points]
-
-    @property
-    def values(self) -> list[float]:
-        return [v for _, v in self.points]
+        if isinstance(self.source, SimulateSource):
+            sc = self.source.scenario
+            given = {"supply.frequency_hz": sc.supply.frequency_hz,
+                     "supply.amplitude_vpp": sc.supply.amplitude_vpp, "seed": sc.seed}
+            named = [key for key, value in given.items() if value != 0]
+            if named:
+                raise ValueError(f"the scenario's {', '.join(named)} must be 0 in a simulated "
+                                 "sweep, which sets frequency, amplitude and seed at each point")
 
 
 def _step_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1)[0])
 
 
-def _measure_simulated(config: SweepConfig, index: int, freq: float) -> tuple[float, int]:
+def _measure_simulated(config: SweepConfig, index: int, freq: float) -> float:
     base = config.source.scenario
     scenario = replace(
         base,
         supply=replace(base.supply, frequency_hz=freq, amplitude_vpp=config.amplitude_vpp),
         seed=_step_seed(config.seed, index),
     )
-    frames = simulate_stack(scenario, config.frames_per_step)
-    return row_noise(frames).average, len(frames)
+    return row_noise(simulate_stack(scenario, config.frames_per_step)).average
 
 
-def _measure_captured(config: SweepConfig, freq: float) -> tuple[float, int]:
+def _measure_captured(config: SweepConfig, freq: float) -> float:
     src = config.source
     cmd = src.command.format(freq=int(round(freq)), amp=config.amplitude_vpp)
     proc = subprocess.run(cmd, shell=True, capture_output=True, text=True)
@@ -174,38 +159,30 @@ def _measure_captured(config: SweepConfig, freq: float) -> tuple[float, int]:
             f"capture at {freq} Hz produced no images matching "
             f"{src.pattern!r} in {src.image_dir}"
         )
-    frames = imageio.read_stack(paths)
-    return row_noise(frames).average, len(frames)
+    return row_noise(imageio.read_stack(paths)).average
 
 
-def run_sweep(config: SweepConfig) -> SweepResult:
+def run_sweep(config: SweepConfig) -> list[tuple[float, float]]:
+    """The (frequency, row noise) points of the sweep, ascending."""
     freqs = physics.frequency_grid(config.start_hz, config.end_hz, config.step_hz)
 
     if isinstance(config.source, CaptureSource):
         # External command plus shared output directory: inherently serial.
         points: list[tuple[float, float]] = []
-        counts: list[int] = []
-        for i, f in enumerate(freqs):
+        for f in freqs:
             try:
-                value, n = _measure_captured(config, f)
+                points.append((f, _measure_captured(config, f)))
             except (RuntimeError, OSError, ValueError) as exc:
-                partial = SweepResult(points=points, frames_per_point=counts)
-                raise CaptureError(str(exc), partial) from exc
-            points.append((f, value))
-            counts.append(n)
-        return SweepResult(points=points, frames_per_point=counts)
+                raise CaptureError(str(exc), points) from exc
+        return points
 
-    if config.workers == 1:
-        measured = [_measure_simulated(config, i, f) for i, f in enumerate(freqs)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            measured = list(
-                pool.map(lambda args: _measure_simulated(config, *args), enumerate(freqs))
-            )
-    return SweepResult(
-        points=[(f, v) for f, (v, _) in zip(freqs, measured)],
-        frames_per_point=[n for _, n in measured],
-    )
+    pool = ThreadPoolExecutor(max_workers=config.workers)
+    try:
+        return list(zip(freqs, pool.map(lambda args: _measure_simulated(config, *args),
+                                        enumerate(freqs))))
+    finally:
+        # A failed point or an interrupt skips the points not yet started.
+        pool.shutdown(cancel_futures=True)
 
 
 def _format_freq(freq: float) -> str:
@@ -214,15 +191,15 @@ def _format_freq(freq: float) -> str:
     return f"{freq:.10g}"
 
 
-def write_csv(result: SweepResult, path: str | Path) -> None:
+def write_csv(points: list[tuple[float, float]], path: str | Path) -> None:
     """Two columns, row noise at 4 decimals. Stable byte-for-byte."""
     lines = [CSV_HEADER]
-    lines += [f"{_format_freq(f)},{v:.4f}" for f, v in result.points]
+    lines += [f"{_format_freq(f)},{v:.4f}" for f, v in points]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_csv(path: str | Path) -> SweepResult:
-    """Inverse of write_csv. Header-only files give an empty result."""
+def read_csv(path: str | Path) -> list[tuple[float, float]]:
+    """Inverse of write_csv. Header-only files give no points."""
     path = Path(path)
     try:
         lines = path.read_bytes().decode("utf-8").splitlines()
@@ -245,7 +222,7 @@ def read_csv(path: str | Path) -> SweepResult:
         if not all(math.isfinite(x) for x in point):
             raise CsvParseError(f"{path}:{lineno}: non-finite value in {line.strip()!r}")
         points.append(point)
-    return SweepResult(points=points)
+    return points
 
 
 @dataclass(frozen=True)
@@ -318,7 +295,7 @@ def _format_freq_human(freq: float) -> str:
 
 
 def analyze_report(
-    result: SweepResult, threshold: Absolute | BaselineSigma | None = None
+    points: list[tuple[float, float]], threshold: Absolute | BaselineSigma | None = None
 ) -> CharacterizationReport:
     """Extract start, peak and areas of concern from a sweep curve.
 
@@ -328,10 +305,10 @@ def analyze_report(
     """
     if threshold is None:
         threshold = BaselineSigma()
-    if not result.points:
+    if not points:
         raise ValueError("sweep result has no points")
-    values = np.asarray(result.values, dtype=np.float64)
-    freqs = result.frequencies
+    freqs = [f for f, _ in points]
+    values = np.asarray([v for _, v in points], dtype=np.float64)
 
     if isinstance(threshold, Absolute):
         cut = threshold.value
@@ -375,24 +352,23 @@ def analyze_report(
     )
 
 
-def emit_plot_data(result: SweepResult, svg_path: str | Path) -> None:
+def emit_plot_data(points: list[tuple[float, float]], svg_path: str | Path) -> None:
     """Write a self-contained SVG line chart plus a two-column data file
     of the same name with the suffix .dat."""
-    if not result.points:
+    if not points:
         raise ValueError("sweep result has no points")
     svg_path = Path(svg_path)
-    data_lines = [f"{_format_freq(f)} {v:.4f}" for f, v in result.points]
+    data_lines = [f"{_format_freq(f)} {v:.4f}" for f, v in points]
     svg_path.with_suffix(".dat").write_text("\n".join(data_lines) + "\n")
-    svg_path.write_text(_render_svg(result))
+    svg_path.write_text(_render_svg(points))
 
 
-def _render_svg(result: SweepResult) -> str:
+def _render_svg(points: list[tuple[float, float]]) -> str:
     width, height = 800.0, 500.0
     ml, mr, mt, mb = 70.0, 20.0, 20.0, 50.0
     plot_w, plot_h = width - ml - mr, height - mt - mb
 
-    freqs = result.frequencies
-    values = result.values
+    freqs, values = zip(*points)
     f_lo, f_hi = min(freqs), max(freqs)
     v_hi = max(max(values), 1e-12) * 1.05
     f_span = (f_hi - f_lo) or 1.0
@@ -403,7 +379,7 @@ def _render_svg(result: SweepResult) -> str:
     def sy(v: float) -> float:
         return mt + plot_h - v / v_hi * plot_h
 
-    pts = " ".join(f"{sx(f):.2f},{sy(v):.2f}" for f, v in result.points)
+    pts = " ".join(f"{sx(f):.2f},{sy(v):.2f}" for f, v in points)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
@@ -464,13 +440,9 @@ def sweep_config_from_json(text: str) -> SweepConfig:
         raise ValueError("sweep source must be a JSON object")
     mode = src.pop("mode", "simulate")
     if mode == "capture":
-        missing = [key for key in ("command", "image_dir") if key not in src]
-        if missing:
-            raise ValueError(f"capture source needs {' and '.join(missing)}")
         source = _build_section(CaptureSource, src, "capture source")
     elif mode == "simulate":
-        scenario = scenario_from_json(json.dumps(src.get("scenario", {})))
-        source = _build_section(SimulateSource, src, "simulate source", scenario=scenario)
+        source = _build_section(SimulateSource, src, "source")
     else:
         raise ValueError(f"unknown sweep source mode {mode!r}")
     return _build_section(SweepConfig, doc, "sweep config", source=source)

@@ -67,6 +67,7 @@ class TestSimulate:
         assert sidecar["command"] == "simulate"
         assert sidecar["frames"] == 3
         assert sidecar["scenario"]["supply"]["frequency_hz"] == 126000.0
+        assert "prefix" not in sidecar  # frames are always named im<n>
 
     def test_nonzero_prnu_is_usage_error(self, tmp_path, capsys):
         assert main(["simulate", "--prnu", "0.01", "--out-dir", str(tmp_path)]) == 2
@@ -290,6 +291,33 @@ class TestSweepCli:
         assert "<svg" in svg.read_text()
         assert (tmp_path / "curve.dat").exists()
 
+    @pytest.mark.parametrize("flag", ["--noise-freq", "--noise-amp"])
+    def test_supply_tone_flags_are_not_sweep_flags(self, tmp_path, capsys, flag):
+        # The sweep sets the frequency and the amplitude at each point.
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", *SMALL_FLAGS, "--start", "100", "--end", "300", "--step", "100",
+                  flag, "5000", "--out", str(tmp_path / "s.csv")])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "scenario, named",
+        [({"seed": 4}, "seed"), ({"supply": {"frequency_hz": 5000.0}}, "supply.frequency_hz"),
+         ({"supply": {"amplitude_vpp": 3.0}}, "supply.amplitude_vpp")],
+    )
+    def test_scenario_field_the_sweep_sets_is_usage_error(self, tmp_path, capsys,
+                                                          scenario, named):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"source": {"scenario": {
+            "sensor": {"width": 8, "active_rows": 4}, **scenario}}}))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(cfg), "--start", "100", "--end", "100",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"scenario's {named} must be 0" in err
+        assert set(tmp_path.iterdir()) == {cfg}
+
     def test_grid_over_the_point_cap_is_usage_error(self, tmp_path, capsys):
         assert main(["sweep", *SMALL_FLAGS, "--start", "1", "--end", "1e12", "--step", "1",
                      "--out", str(tmp_path / "s.csv")]) == 2
@@ -466,7 +494,7 @@ class TestMisplacedFlags:
                      "--end", "100", "--seed", "5", "--out", str(out)]) == 0
         config = json.loads((tmp_path / "s.csv.config.json").read_text())["config"]
         assert config["seed"] == 5
-        assert config["source"]["scenario"]["seed"] == 0  # unused: points seed per step
+        assert config["source"]["scenario"]["seed"] == 0  # points seed from the sweep seed
 
 
 def _names_a_field(cls, path: list[str]) -> bool:
@@ -946,6 +974,7 @@ SCENARIO_VALUES = [
     "--reset-temp", "--reset-cap", "--dsnu", "--column-fpn",
 ]
 SWITCHES = ("--shot", "--flicker", "--reset", "--cds")
+SWEEP_SETS = ("--noise-freq", "--noise-amp")  # a sweep sets these at each point
 
 
 @st.composite
@@ -957,13 +986,13 @@ def some_flags(draw, table: dict) -> list[str]:
 
 
 @st.composite
-def scenario_argv(draw) -> list[str]:
+def scenario_argv(draw, leave_out=()) -> list[str]:
     argv = [
         "--width=" + draw(mostly(st.sampled_from(["1", "3", "8"]), st.sampled_from(["0", "-1"]))),
         "--active-rows=" + draw(mostly(st.sampled_from(["1", "2", "4"]), st.just("0"))),
     ]
     argv += draw(some_flags({
-        **{flag: NUMBER for flag in SCENARIO_VALUES},
+        **{flag: NUMBER for flag in SCENARIO_VALUES if flag not in leave_out},
         "--ob-rows": often(st.sampled_from(["0", "1"]), st.just("-1")),
         "--blanking-rows": often(st.sampled_from(["0", "4"]), st.just("-1")),
         "--channels": often(st.sampled_from(["1", "3"]), st.just("2")),
@@ -1002,8 +1031,8 @@ def argv_for(draw, command: str, inputs: Path, csv: Path, work: Path) -> list[st
                          st.sampled_from(["nan", "-1", "1e308"])))
         if end == "1e308":  # a point count that overflows, never a huge finite one
             step = "1e-300"
-        argv = ["sweep", *draw(scenario_argv()), f"--start={start}", f"--end={end}",
-                f"--step={step}", "--out", str(work / "s.csv")]
+        argv = ["sweep", *draw(scenario_argv(leave_out=SWEEP_SETS)), f"--start={start}",
+                f"--end={end}", f"--step={step}", "--out", str(work / "s.csv")]
         return argv + draw(some_flags({
             "--amp": NUMBER,
             "--frames-per-step": often(st.sampled_from(["1", "2"]), st.just("0")),

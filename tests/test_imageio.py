@@ -122,6 +122,16 @@ class TestPnmReader:
         with pytest.raises(ImageParseError):
             read_image(path)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [(b"P5\n4 4 255", "truncated header"), (b"P5\n0 4\n255\n", "bad dimensions 0x4")],
+    )
+    def test_malformed_header_rejected_naming_the_fault(self, tmp_path, data, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ImageParseError, match=message):
+            read_image(path)
+
 
 class TestBmpReader:
     def test_bottom_up_rows_and_bgr_order(self, tmp_path):
@@ -172,6 +182,12 @@ class TestBmpReader:
         path = tmp_path / "rle.bmp"
         path.write_bytes(_bmp_bytes(1, 1, [[(0, 0, 0)]], compression=1))
         with pytest.raises(ImageParseError):
+            read_image(path)
+
+    def test_zero_width_rejected(self, tmp_path):
+        path = tmp_path / "thin.bmp"
+        path.write_bytes(_bmp_bytes(0, 1, [[]]))
+        with pytest.raises(ImageParseError, match="bad dimensions 0x1"):
             read_image(path)
 
     def test_truncated_rejected(self, tmp_path):

@@ -87,6 +87,9 @@ class TestFrequencyGrid:
     def test_single_point(self):
         assert frequency_grid(4110.0, 4110.0, 1000.0) == [4110.0]
 
+    def test_end_on_grid_is_included(self):
+        assert frequency_grid(100.0, 500.0, 100.0) == [100.0, 200.0, 300.0, 400.0, 500.0]
+
     @pytest.mark.parametrize(
         "args",
         [(1.0, 2.0, 0.0), (1.0, 2.0, -1.0), (2.0, 1.0, 0.5), (1.0, math.inf, 0.5),

@@ -113,6 +113,11 @@ class TestConfigs:
         with pytest.raises(ValueError):
             TemporalNoiseConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [{"dsnu_dn": -1.0}, {"column_fpn_dn": -1.0}])
+    def test_spatial_validation(self, kwargs):
+        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be >= 0"):
+            SpatialNoiseConfig(**kwargs)
+
     def test_integers_fit_float_fields_and_null_cutoff_stays_valid(self):
         sc = scenario_from_json(
             '{"sensor": {"fps": 30, "pedestal_dn": 16},'

@@ -1,16 +1,18 @@
 """Sweep engine, CSV round trips, report landmarks and plot emission."""
 
 import math
+import re
 import shlex
 import sys
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from rownoise import sweep
 from rownoise.metric import row_noise
-from rownoise.physics import frequency_grid
 from rownoise.sensor import (
     SensorConfig,
     SimScenario,
@@ -26,7 +28,6 @@ from rownoise.sweep import (
     CsvParseError,
     SimulateSource,
     SweepConfig,
-    SweepResult,
     analyze_report,
     emit_plot_data,
     read_csv,
@@ -48,23 +49,9 @@ def quiet_scenario(phase_rad=0.0):
 
 
 class TestGrid:
-    def test_hundred_points(self):
-        freqs = frequency_grid(50.0, 100_000.0, 1000.0)
-        assert len(freqs) == 100
-        assert freqs[0] == 50.0
-        assert freqs[-1] == 99_050.0
-
-    def test_single_point_when_start_equals_end(self):
-        assert frequency_grid(4110.0, 4110.0, 1000.0) == [4110.0]
-
-    def test_end_on_grid_is_included(self):
-        assert frequency_grid(100.0, 500.0, 100.0) == [100.0, 200.0, 300.0, 400.0, 500.0]
-
-    def test_end_survives_float_drift(self):
-        # (0.3 - 0.1) / 0.1 is 1.9999999999999998 in float64.
-        freqs = frequency_grid(0.1, 0.3, 0.1)
-        assert len(freqs) == 3
-        assert freqs[-1] == pytest.approx(0.3)
+    """SweepConfig checks: the grid, the run parameters and the scenario
+    fields a sweep sets itself. The grid points are physics.frequency_grid's
+    and are tested with it."""
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -86,6 +73,20 @@ class TestGrid:
         with pytest.raises(ValueError):
             SweepConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "scenario, named",
+        [
+            (SimScenario(supply=SupplyNoiseConfig(frequency_hz=5000.0)), "supply.frequency_hz"),
+            (SimScenario(supply=SupplyNoiseConfig(amplitude_vpp=3.0)), "supply.amplitude_vpp"),
+            (SimScenario(seed=7), "seed"),
+        ],
+    )
+    def test_scenario_fields_the_sweep_sets_are_rejected(self, scenario, named):
+        # Each point sets its own frequency, amplitude and seed, so a value
+        # here would be silently replaced.
+        with pytest.raises(ValueError, match=rf"scenario's {re.escape(named)} must be 0"):
+            SweepConfig(source=SimulateSource(scenario=scenario))
+
 
 class TestRunSweep:
     def test_single_point_matches_direct_simulation(self):
@@ -97,15 +98,13 @@ class TestRunSweep:
             frames_per_step=1,
             source=SimulateSource(scenario=quiet_scenario()),
         )
-        result = run_sweep(cfg)
-        assert len(result.points) == 1
-        assert result.frames_per_point == [1]
+        points = run_sweep(cfg)
         sc = quiet_scenario()
         direct = replace(
             sc, supply=replace(sc.supply, frequency_hz=freq, amplitude_vpp=1.0)
         )
         expected = row_noise(simulate_stack(direct, 1)).average
-        assert result.points[0] == (freq, expected)
+        assert points == [(freq, expected)]
 
     def test_harmonic_null_and_off_harmonic_plateau(self):
         # Phase pi/4 keeps the half-line-rate point sampling at +/- peak/sqrt(2),
@@ -119,7 +118,7 @@ class TestRunSweep:
                 frames_per_step=1,
                 source=SimulateSource(scenario=quiet_scenario(phase_rad=math.pi / 4.0)),
             )
-            values[mult] = run_sweep(cfg).points[0][1]
+            [(_, values[mult])] = run_sweep(cfg)
         assert values[1.0] < 0.05 * PLATEAU
         for mult in (1.37, 1.5):
             assert abs(values[mult] - PLATEAU) / PLATEAU < 0.10
@@ -134,7 +133,7 @@ class TestRunSweep:
                 frames_per_step=1,
                 source=SimulateSource(scenario=quiet_scenario()),
             )
-            return float(np.median(run_sweep(cfg).values))
+            return float(np.median([v for _, v in run_sweep(cfg)]))
 
         ratio = median_plateau(0.5) / median_plateau(1.0)
         assert abs(ratio - 0.5) / 0.5 < 0.10
@@ -152,8 +151,23 @@ class TestRunSweep:
             seed=5,
         )
         serial = run_sweep(SweepConfig(**base, workers=1))
-        pooled = run_sweep(SweepConfig(**base, workers=4))
-        assert serial.points == pooled.points
+        assert run_sweep(SweepConfig(**base, workers=4)) == serial
+
+    def test_failed_point_skips_the_points_not_yet_started(self, monkeypatch):
+        measured = []
+
+        def measure(config, index, freq):
+            measured.append(index)
+            if index == 0:
+                raise ValueError("scenario values overflow float64 arithmetic")
+            time.sleep(0.01)
+            return 0.0
+
+        monkeypatch.setattr(sweep, "_measure_simulated", measure)
+        cfg = SweepConfig(start_hz=100.0, end_hz=5000.0, step_hz=100.0)
+        with pytest.raises(ValueError, match="overflow"):
+            run_sweep(cfg)
+        assert len(measured) < 10  # of 50 points
 
     def test_rerun_is_identical(self, tmp_path):
         scenario = SimScenario(
@@ -202,9 +216,8 @@ class TestCaptureSource:
             step_hz=100.0,
             source=CaptureSource(command=command, image_dir=out),
         )
-        result = run_sweep(cfg)
-        assert result.frames_per_point == [2, 2, 2]
-        assert result.values == [0.0, 0.0, 0.0]  # flat frames have no row noise
+        # Flat frames have no row noise.
+        assert run_sweep(cfg) == [(100.0, 0.0), (200.0, 0.0), (300.0, 0.0)]
 
     def test_failure_keeps_partial_results(self, tmp_path):
         command, out = capture_setup(tmp_path, fail_above=150)
@@ -217,7 +230,7 @@ class TestCaptureSource:
         with pytest.raises(CaptureError) as err:
             run_sweep(cfg)
         assert "200" in str(err.value)
-        assert err.value.partial.points == [(100.0, 0.0)]
+        assert err.value.partial == [(100.0, 0.0)]
 
     @pytest.mark.parametrize("command", ["rig --hz {hz}", "rig {0}", "rig {freq", 5])
     def test_bad_command_template_rejected(self, tmp_path, command):
@@ -261,34 +274,32 @@ class TestCsv:
         path = tmp_path / "any.csv"
         path.write_bytes(data)
         try:
-            result = read_csv(path)
+            points = read_csv(path)
         except CsvParseError as exc:
             assert str(exc).startswith(f"{path}:")
         else:
-            assert all(math.isfinite(x) for point in result.points for x in point)
+            assert all(math.isfinite(x) for point in points for x in point)
 
     def test_golden_line(self, tmp_path):
         path = tmp_path / "one.csv"
-        write_csv(SweepResult(points=[(25000.0, 8.80694)]), path)
+        write_csv([(25000.0, 8.80694)], path)
         assert path.read_text() == "frequency_hz,row_noise\n25000,8.8069\n"
 
     def test_fractional_frequency_kept(self, tmp_path):
         path = tmp_path / "frac.csv"
-        write_csv(SweepResult(points=[(50.5, 1.0)]), path)
+        write_csv([(50.5, 1.0)], path)
         assert "50.5,1.0000" in path.read_text()
 
     def test_round_trip(self, tmp_path):
         points = [(50.0, 0.1234), (1050.0, 27.32), (2050.0, 0.0)]
         path = tmp_path / "rt.csv"
-        write_csv(SweepResult(points=points), path)
-        back = read_csv(path)
-        assert back.frequencies == [50.0, 1050.0, 2050.0]
-        assert back.values == [0.1234, 27.32, 0.0]
+        write_csv(points, path)
+        assert read_csv(path) == points
 
     def test_header_only_is_valid_and_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("frequency_hz,row_noise\n")
-        assert read_csv(path).points == []
+        assert read_csv(path) == []
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -316,7 +327,7 @@ class TestCsv:
             read_csv(path)
 
 
-def bump_result() -> SweepResult:
+def bump_curve() -> list[tuple[float, float]]:
     """Flat 0.2 DN curve with a triangular bump on [60 kHz, 140 kHz], apex 10 DN
     at 100 kHz. All values are exact at 4 decimals so CSV trips are lossless."""
     points = []
@@ -326,20 +337,20 @@ def bump_result() -> SweepResult:
         else:
             v = 0.2
         points.append((float(f), v))
-    return SweepResult(points=points)
+    return points
 
 
 class TestReport:
     def test_flat_zero_curve_has_no_areas(self):
-        result = SweepResult(points=[(float(f), 0.0) for f in range(100, 2100, 100)])
-        report = analyze_report(result)  # default baseline threshold
+        points = [(float(f), 0.0) for f in range(100, 2100, 100)]
+        report = analyze_report(points)  # default baseline threshold
         assert report.areas_of_concern_hz == []
         assert report.row_noise_start_hz is None
         assert report.peak_row_noise_dn == 0.0
         assert report.peak_hz == 100.0  # earliest point wins the tie
 
     def test_bump_landmarks(self):
-        report = analyze_report(bump_result(), Absolute(0.3))
+        report = analyze_report(bump_curve(), Absolute(0.3))
         assert report.row_noise_start_hz == 60_000.0
         assert report.peak_hz == 100_000.0
         assert report.peak_row_noise_dn == 10.0
@@ -348,28 +359,26 @@ class TestReport:
 
     def test_round_trip_is_idempotent(self, tmp_path):
         path = tmp_path / "bump.csv"
-        original = analyze_report(bump_result(), Absolute(0.3))
-        write_csv(bump_result(), path)
+        original = analyze_report(bump_curve(), Absolute(0.3))
+        write_csv(bump_curve(), path)
         reloaded = analyze_report(read_csv(path), Absolute(0.3))
         assert reloaded == original
 
     def test_baseline_sigma_threshold(self):
         values = [0.10, 0.12, 0.11, 0.09, 0.10, 0.10, 5.0, 0.10]
-        result = SweepResult(
-            points=[(float(100 * (i + 1)), v) for i, v in enumerate(values)]
-        )
-        report = analyze_report(result, BaselineSigma(k=5.0, window=5))
+        points = [(float(100 * (i + 1)), v) for i, v in enumerate(values)]
+        report = analyze_report(points, BaselineSigma(k=5.0, window=5))
         assert report.areas_of_concern_hz == [(700.0, 700.0)]
         assert report.row_noise_start_hz == 700.0
 
     def test_window_larger_than_curve_rejected(self):
-        result = SweepResult(points=[(100.0, 0.1), (200.0, 0.1)])
+        points = [(100.0, 0.1), (200.0, 0.1)]
         with pytest.raises(ValueError):
-            analyze_report(result, BaselineSigma(k=5.0, window=10))
+            analyze_report(points, BaselineSigma(k=5.0, window=10))
 
     def test_empty_result_rejected(self):
         with pytest.raises(ValueError):
-            analyze_report(SweepResult(points=[]))
+            analyze_report([])
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
@@ -396,30 +405,30 @@ class TestReport:
             make()
 
     def test_overflowing_baseline_threshold_rejected(self):
-        result = SweepResult(points=[(100.0, 0.2), (200.0, 20.2), (300.0, 0.2)])
+        points = [(100.0, 0.2), (200.0, 20.2), (300.0, 0.2)]
         with pytest.raises(ValueError, match="overflows"):
-            analyze_report(result, BaselineSigma(k=1e308, window=2))
+            analyze_report(points, BaselineSigma(k=1e308, window=2))
 
     def test_overflowing_baseline_values_blame_the_baseline(self):
         # The mean of two 1e308 points overflows, whatever k is.
-        result = SweepResult(points=[(100.0, 1e308), (200.0, 1e308), (300.0, 0.2)])
+        points = [(100.0, 1e308), (200.0, 1e308), (300.0, 0.2)]
         with pytest.raises(ValueError, match="baseline of the first 2 points"):
-            analyze_report(result, BaselineSigma(k=1.0, window=2))
+            analyze_report(points, BaselineSigma(k=1.0, window=2))
 
     def test_text_fields(self):
-        text = analyze_report(bump_result(), Absolute(0.3)).to_text()
+        text = analyze_report(bump_curve(), Absolute(0.3)).to_text()
         assert "Row Noise Start" in text
         assert "Peak Row Noise" in text
         assert "Areas of Concern" in text
         assert "100 kHz" in text
 
     def test_text_no_areas_wording(self):
-        result = SweepResult(points=[(float(f), 0.0) for f in range(100, 1200, 100)])
-        text = analyze_report(result).to_text()
+        points = [(float(f), 0.0) for f in range(100, 1200, 100)]
+        text = analyze_report(points).to_text()
         assert "no areas of concern" in text
 
     def test_json_dict_keys(self):
-        doc = asdict(analyze_report(bump_result(), Absolute(0.3)))
+        doc = asdict(analyze_report(bump_curve(), Absolute(0.3)))
         assert set(doc) == {
             "row_noise_start_hz",
             "peak_hz",
@@ -431,9 +440,9 @@ class TestReport:
 
 class TestPlot:
     def test_svg_and_data_file(self, tmp_path):
-        result = SweepResult(points=[(100.0, 1.0), (200.0, 2.0), (300.0, 0.5)])
+        points = [(100.0, 1.0), (200.0, 2.0), (300.0, 0.5)]
         svg = tmp_path / "curve.svg"
-        emit_plot_data(result, svg)
+        emit_plot_data(points, svg)
         text = svg.read_text()
         assert text.count("<polyline") == 1
         poly = text.split("<polyline points=\"")[1].split("\"")[0]
@@ -446,7 +455,7 @@ class TestPlot:
 
     def test_empty_result_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_plot_data(SweepResult(points=[]), tmp_path / "x.svg")
+            emit_plot_data([], tmp_path / "x.svg")
 
 
 class TestSweepConfigJson:
