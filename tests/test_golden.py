@@ -4,11 +4,12 @@ The determinism tests elsewhere compare one run with another, so a change
 that shifts every run the same way passes them. These pins do not: each
 is the sha256 of the analog values and the quantized pixels of a small
 scenario, one per noise source, of the criterion-11 sweep CSV and its
-report JSON, or of the two image corrections on one banded capture. They
+report JSON, or of the two image corrections on banded captures, the
+lowpass at kernels on both sides of its median network's crossover. They
 were taken before the simulator's hot path, later the lowpass median and
-then the report's JSON writer, was rewritten and must not be edited to follow a change in output bits; a deliberate
-change of the Philox substream contract is the only reason to re-pin
-them.
+then the report's JSON writer, was rewritten and must not be edited to
+follow a change in output bits; a deliberate change of the Philox
+substream contract is the only reason to re-pin them.
 
 The bits depend on numpy's Philox, normal and Poisson code, so the pins
 hold for the numpy feature release they were taken with.
@@ -122,6 +123,9 @@ FRAME_PINS = {
 MITIGATION_PINS = {
     "lowpass_9": "cb97b117ab4306d319a3d946bd2db31e66a11488e734583605a94f5eaeb848ef",
     "dark_ref_4": "1e81defb150f53229b7c5d7e686dbe6c01a1499922c46e8ab7dbf979530ed65a",
+    "lowpass_3": "bdf647231deaf48ce28bb65a5ad1501c398c4ef4afbb84296c056dc9cb8cb1f7",
+    "lowpass_39": "f2c3324e63cfda0bdb72978ffbfbe3a9ef6a351661e6941e8a33be3c95611d16",
+    "lowpass_101_tall": "ae27b0976a64693c8c4865a018ebc7e53b05586f75712a8f5efa9fa687aa6a17",
 }
 
 SWEEP_CSV_PIN = "4d7902af46939d0eca2992042a6040d3fa922d532f66e626d1e2e6d3bc3b4293"
@@ -167,14 +171,14 @@ def test_criterion_11_sweep_csv_matches_golden_digest(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_CSV_PIN
 
 
-def banded_capture() -> Frame:
-    """A 3-channel 40x24 capture: pedestal 64, a 6 DN row tone with
+def banded_capture(rows: int = 40) -> Frame:
+    """A 3-channel capture, rows x 24: pedestal 64, a 6 DN row tone with
     1.67-row bands, 2 DN read noise and a 20 DN brighter block in the
     last 6 columns, clear of the 4 dark reference columns."""
     rng = np.random.default_rng(2024)
-    rows = np.arange(40, dtype=np.float64)[None, :, None]
-    tone = 6.0 * np.sin(2.0 * np.pi * 0.3 * rows + 0.7)
-    analog = 64.0 + tone + rng.normal(0.0, 2.0, (3, 40, 24))
+    row = np.arange(rows, dtype=np.float64)[None, :, None]
+    tone = 6.0 * np.sin(2.0 * np.pi * 0.3 * row + 0.7)
+    analog = 64.0 + tone + rng.normal(0.0, 2.0, (3, rows, 24))
     analog[:, :, 18:] += 20.0
     return Frame(pixels=np.clip(np.floor(analog + 0.5), 0, 255).astype(np.uint8))
 
@@ -182,12 +186,17 @@ def banded_capture() -> Frame:
 @pytest.mark.parametrize(
     "name, correct",
     [
-        ("lowpass_9", lambda f: lowpass_offset_suppress(f, 9)),
-        ("dark_ref_4", lambda f: dark_reference_correct(f, 4, pedestal_dn=64)),
+        ("lowpass_9", lambda: lowpass_offset_suppress(banded_capture(), 9)),
+        ("dark_ref_4", lambda: dark_reference_correct(banded_capture(), 4, pedestal_dn=64)),
+        ("lowpass_3", lambda: lowpass_offset_suppress(banded_capture(), 3)),
+        # The largest odd kernel 40 rows take.
+        ("lowpass_39", lambda: lowpass_offset_suppress(banded_capture(), 39)),
+        # A kernel above the median network's crossover to the rank filter.
+        ("lowpass_101_tall", lambda: lowpass_offset_suppress(banded_capture(120), 101)),
     ],
 )
 def test_mitigation_matches_golden_digest(name, correct):
-    pixels = correct(banded_capture()).pixels
+    pixels = correct().pixels
     assert hashlib.sha256(pixels.tobytes()).hexdigest() == MITIGATION_PINS[name]
 
 
