@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import imageio, mitigation, physics, sweep as sweepmod
 from .metric import row_noise
-from .sensor import PhaseMode, SimScenario, scenario_from_json, scenario_to_json, simulate_stack
+from .sensor import PhaseMode, SimScenario, _build_section, scenario_to_json, simulate_stack
 
 __all__ = ["main"]
 
@@ -141,7 +141,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if isinstance(doc, dict) and "scenario" in doc:  # a previous run's sidecar
         n = doc.get("frames", n)
         doc = doc["scenario"]
-    scenario = scenario_from_json(json.dumps(_merge_flags(args, doc, SimScenario)))
+    scenario = _build_section(SimScenario, _merge_flags(args, doc, SimScenario), "scenario")
     if args.frames is not None:
         n = args.frames
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -205,7 +205,7 @@ def _sweep_config_from_args(args: argparse.Namespace) -> sweepmod.SweepConfig:
     if getattr(args, "source.command") is not None:  # --capture-cmd
         setattr(args, "source.mode", "capture")
     doc = _merge_flags(args, doc, sweepmod.SweepConfig)
-    return sweepmod.sweep_config_from_json(json.dumps(doc))
+    return sweepmod._sweep_config_from_doc(doc)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -20,6 +20,7 @@ Four attack angles, from cheapest to most invasive:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -28,7 +29,8 @@ import numpy as np
 from scipy.ndimage import median_filter
 
 from . import physics
-from .sensor import MAX_DN, Frame, quantize_dn, rc_attenuation
+from .sensor import MAX_DN, Frame, _quantize_in_place, rc_attenuation
+from .sensor import quantize_dn  # noqa: F401  bench/test_bench.py traces mitigation.quantize_dn
 
 __all__ = [
     "TuningMode",
@@ -43,6 +45,13 @@ __all__ = [
 
 TUNE_FPS_STEP = 0.01  # fps spacing of the tune grid
 MAX_TUNE_CANDIDATES = 10**8  # most (fps, frame length) pairs one search may try
+# Largest lowpass kernel the median network runs; above it SciPy's rank
+# filter is faster. Measured on 1- and 3-channel 640x480 and 1280x800
+# frames on a 2-core x86_64 host: the network wins up to k = 55.
+NETWORK_MAX_KERNEL = 55
+# Pixels per channel row-block the network works on, so its k live
+# views stay in cache and the crossover does not move with frame size.
+NETWORK_BLOCK_PIXELS = 1 << 16
 
 
 class TuningMode(str, Enum):
@@ -73,8 +82,75 @@ def dark_reference_correct(frame: Frame, m_dark_cols: int, pedestal_dn: float = 
     if m_dark_cols > frame.width:
         raise ValueError(f"m_dark_cols {m_dark_cols} exceeds frame width {frame.width}")
     offsets = frame.pixels[:, :, :m_dark_cols].astype(np.float64).mean(axis=2) - pedestal_dn
-    corrected = frame.pixels.astype(np.float64) - offsets[:, :, None]
-    return Frame(pixels=quantize_dn(corrected))
+    return Frame(pixels=_quantize_in_place(frame.pixels - offsets[:, :, None]))
+
+
+def _merge_exchange(n: int) -> list[tuple[int, int]]:
+    """Batcher's merge exchange network for n inputs (Knuth, TAOCP vol. 3,
+    5.2.2 Algorithm M): comparators (i, j), i < j, that sort when each
+    puts the smaller value at i, in the order they run."""
+    pairs: list[tuple[int, int]] = []
+    t = (n - 1).bit_length()
+    p = 1 << (t - 1)
+    while p > 0:
+        q, r, d = 1 << (t - 1), 0, p
+        while True:
+            pairs += [(i, i + d) for i in range(n - d) if i & p == r]
+            if q == p:
+                break
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
+    return pairs
+
+
+@functools.cache
+def median_network(k: int) -> tuple[tuple[int, int, bool, bool], ...]:
+    """The merge exchange network for k inputs pruned to its middle output.
+
+    Each step (i, j, keep_min, keep_max) sets input i to min(i, j) when
+    keep_min and input j to max(i, j) when keep_max; a comparator whose
+    outputs the middle one does not depend on is dropped, and so is each
+    half of one whose other output alone is needed. After the steps, input
+    k // 2 holds the median.
+    """
+    needed = {k // 2}
+    steps = []
+    for i, j in reversed(_merge_exchange(k)):
+        keep_min, keep_max = i in needed, j in needed
+        if keep_min or keep_max:
+            steps.append((i, j, keep_min, keep_max))
+            needed |= {i, j}
+    return tuple(reversed(steps))
+
+
+def _network_median(padded: np.ndarray, kernel_rows: int) -> np.ndarray:
+    """Running median of kernel_rows rows over row-padded uint8 pixels,
+    one comparator network over the k row-shifted views of each block."""
+    channels, padded_rows, width = padded.shape
+    rows = padded_rows - kernel_rows + 1
+    block = max(1, NETWORK_BLOCK_PIXELS // width)
+    lowpass = np.empty((channels, rows, width), dtype=np.uint8)
+    for c in range(channels):
+        for start in range(0, rows, block):
+            stop = min(start + block, rows)
+            views = [padded[c, start + t:stop + t] for t in range(kernel_rows)]
+            for i, j, keep_min, keep_max in median_network(kernel_rows):
+                a, b = views[i], views[j]
+                if keep_min:
+                    views[i] = np.minimum(a, b)
+                if keep_max:
+                    views[j] = np.maximum(a, b)
+            lowpass[c, start:stop] = views[kernel_rows // 2]
+    return lowpass
+
+
+def _rank_filter_median(padded: np.ndarray, kernel_rows: int) -> np.ndarray:
+    """The same running median through SciPy's 1-D rank filter, with the
+    padded columns laid end to end so no window crosses into the next."""
+    pad = kernel_rows // 2
+    columns = padded.transpose(0, 2, 1).copy()
+    lowpass = median_filter(columns.ravel(), size=kernel_rows, mode="nearest")
+    return lowpass.reshape(columns.shape)[:, :, pad:-pad].transpose(0, 2, 1)
 
 
 def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
@@ -87,12 +163,14 @@ def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
     estimate; subtracting it flattens the banding while leaving
     vertical ramps and uniform regions untouched.
 
-    The columns are laid end to end, each padded with kernel_rows // 2
-    copies of its edge rows, so no window crosses into a neighbouring
-    column, and filtered in one 1-D pass: SciPy's 1-D rank filter costs
-    O(log k) per pixel where its N-d one costs O(k), so a large kernel
-    costs little more than a small one. The residue is exact in int16,
-    and so is its row median in float64.
+    Up to NETWORK_MAX_KERNEL rows the running median is a comparator
+    network (median_network) over the kernel_rows row-shifted uint8
+    views, whose cost grows with the comparators, about k log^2 k per
+    pixel. Above it SciPy's 1-D rank filter runs down the columns, whose
+    cost grows with log k, so a large kernel costs little more than one
+    at the crossover. Both give the same bits. The residue is exact in
+    int16 and its row median a multiple of 0.5, so the offset is
+    subtracted and rounded half up in integers.
     """
     if kernel_rows < 3 or kernel_rows % 2 == 0:
         raise ValueError(f"kernel_rows must be odd and >= 3, got {kernel_rows}")
@@ -101,12 +179,18 @@ def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
             f"kernel_rows {kernel_rows} exceeds frame rows {frame.rows}"
         )
     pad = kernel_rows // 2
-    columns = np.pad(frame.pixels.transpose(0, 2, 1), ((0, 0), (0, 0), (pad, pad)), mode="edge")
-    lowpass = median_filter(columns.ravel(), size=kernel_rows, mode="nearest")
-    lowpass = lowpass.reshape(columns.shape)[:, :, pad:-pad].transpose(0, 2, 1)
-    offsets = np.median(frame.pixels.astype(np.int16) - lowpass, axis=2)
-    corrected = frame.pixels - offsets[:, :, None]
-    return Frame(pixels=quantize_dn(corrected))
+    padded = np.pad(frame.pixels, ((0, 0), (pad, pad), (0, 0)), mode="edge")
+    if kernel_rows <= NETWORK_MAX_KERNEL:
+        lowpass = _network_median(padded, kernel_rows)
+    else:
+        lowpass = _rank_filter_median(padded, kernel_rows)
+    pixels = frame.pixels.astype(np.int16)
+    twice_offsets = (2.0 * np.median(pixels - lowpass, axis=2)).astype(np.int16)
+    # floor(p - m + 0.5) == (2p - 2m + 1) >> 1 for any m that is a multiple of 0.5.
+    pixels <<= 1
+    pixels -= twice_offsets[:, :, None] - 1
+    pixels >>= 1
+    return Frame(pixels=np.clip(pixels, 0, MAX_DN).astype(np.uint8))
 
 
 def recommend_tuning(

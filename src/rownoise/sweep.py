@@ -432,12 +432,17 @@ def sweep_config_to_json(config: SweepConfig) -> str:
 def sweep_config_from_json(text: str) -> SweepConfig:
     """Inverse of sweep_config_to_json. Missing fields take their defaults;
     a malformed document raises ValueError."""
-    doc = json.loads(text)
+    return _sweep_config_from_doc(json.loads(text))
+
+
+def _sweep_config_from_doc(doc) -> SweepConfig:
+    """sweep_config_from_json on the parsed document, left unchanged."""
     if not isinstance(doc, dict):
         raise ValueError("sweep config must be a JSON object")
     src = doc.get("source", {})
     if not isinstance(src, dict):
         raise ValueError("sweep source must be a JSON object")
+    src = dict(src)
     mode = src.pop("mode", "simulate")
     if mode == "capture":
         source = _build_section(CaptureSource, src, "capture source")

@@ -11,10 +11,13 @@ from scipy.ndimage import median_filter
 from rownoise.metric import row_noise_single
 from rownoise.mitigation import (
     MAX_TUNE_CANDIDATES,
+    NETWORK_BLOCK_PIXELS,
+    NETWORK_MAX_KERNEL,
     TUNE_FPS_STEP,
     TuningMode,
     dark_reference_correct,
     lowpass_offset_suppress,
+    median_network,
     predict_filter_effect,
     recommend_tuning,
 )
@@ -145,6 +148,12 @@ class TestLowpassSuppress:
             (9, 17, 9),  # rows == kernel: every window reaches an edge
             (3, 5, 3),
             (12, 1, 5),  # one column: the row median is the residue itself
+            # Row-blocks of 16, 16 and 8 rows.
+            (40, NETWORK_BLOCK_PIXELS // 16, 9),
+            # The largest network kernel and one on each side of it.
+            (NETWORK_MAX_KERNEL + 3, 23, NETWORK_MAX_KERNEL - 2),
+            (NETWORK_MAX_KERNEL + 3, 24, NETWORK_MAX_KERNEL),
+            (NETWORK_MAX_KERNEL + 3, 23, NETWORK_MAX_KERNEL + 2),
         ],
     )
     def test_matches_float_median_filter_bit_for_bit(self, channels, rows, width, kernel):
@@ -164,6 +173,26 @@ class TestLowpassSuppress:
             got = lowpass_offset_suppress(Frame(pixels=pixels), kernel).pixels
             assert got.dtype == np.uint8
             assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kernel", range(3, NETWORK_MAX_KERNEL + 1, 2))
+    def test_median_network_selects_the_median_of_any_0_1_column(self, kernel):
+        # The 0-1 principle: min and max commute with every monotone map, so
+        # a network that puts the median of each 0/1 input at its middle
+        # output does so for any input. Every 0/1 column up to k = 19, a
+        # seeded sample of them above.
+        if kernel <= 19:
+            columns = np.arange(2**kernel)
+        else:
+            columns = np.random.default_rng(kernel).integers(0, 2**kernel, 20000)
+        values = [((columns >> t) & 1).astype(np.uint8) for t in range(kernel)]
+        expected = np.sum(values, axis=0) > kernel // 2
+        for i, j, keep_min, keep_max in median_network(kernel):
+            a, b = values[i], values[j]
+            if keep_min:
+                values[i] = np.minimum(a, b)
+            if keep_max:
+                values[j] = np.maximum(a, b)
+        assert np.array_equal(values[kernel // 2], expected)
 
     @pytest.mark.parametrize("kernel", [2, 1, -3, 33])
     def test_kernel_validation(self, kernel):

@@ -1,5 +1,6 @@
 """Sweep engine, CSV round trips, report landmarks and plot emission."""
 
+import json
 import math
 import re
 import shlex
@@ -36,6 +37,7 @@ from rownoise.sweep import (
     sweep_config_to_json,
     write_csv,
 )
+from rownoise.sweep import _sweep_config_from_doc
 
 SENSOR = SensorConfig(width=16, active_rows=64, blanking_rows=36, pedestal_dn=128.0)
 F_LINE = SENSOR.line_frequency_hz  # 3000 Hz
@@ -487,6 +489,15 @@ class TestSweepConfigJson:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             sweep_config_from_json('{"source": {"mode": "telepathy"}}')
+
+    def test_parsed_document_is_left_unchanged(self, tmp_path):
+        # The CLI hands its merged flag document to the parser as a dict.
+        doc = json.loads(sweep_config_to_json(SweepConfig(
+            source=CaptureSource(command="rig --freq {freq}", image_dir=tmp_path),
+        )))
+        before = json.dumps(doc, sort_keys=True)
+        assert _sweep_config_from_doc(doc).source.command == "rig --freq {freq}"
+        assert json.dumps(doc, sort_keys=True) == before
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
