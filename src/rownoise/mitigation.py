@@ -144,15 +144,6 @@ def _network_median(padded: np.ndarray, kernel_rows: int) -> np.ndarray:
     return lowpass
 
 
-def _rank_filter_median(padded: np.ndarray, kernel_rows: int) -> np.ndarray:
-    """The same running median through SciPy's 1-D rank filter, with the
-    padded columns laid end to end so no window crosses into the next."""
-    pad = kernel_rows // 2
-    columns = padded.transpose(0, 2, 1).copy()
-    lowpass = median_filter(columns.ravel(), size=kernel_rows, mode="nearest")
-    return lowpass.reshape(columns.shape)[:, :, pad:-pad].transpose(0, 2, 1)
-
-
 def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
     """Remove row-rate offsets using only the image itself.
 
@@ -182,8 +173,10 @@ def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
     padded = np.pad(frame.pixels, ((0, 0), (pad, pad), (0, 0)), mode="edge")
     if kernel_rows <= NETWORK_MAX_KERNEL:
         lowpass = _network_median(padded, kernel_rows)
-    else:
-        lowpass = _rank_filter_median(padded, kernel_rows)
+    else:  # the padded columns laid end to end, so no window crosses into the next
+        columns = padded.transpose(0, 2, 1).copy()
+        lowpass = median_filter(columns.ravel(), size=kernel_rows, mode="nearest")
+        lowpass = lowpass.reshape(columns.shape)[:, :, pad:-pad].transpose(0, 2, 1)
     pixels = frame.pixels.astype(np.int16)
     twice_offsets = (2.0 * np.median(pixels - lowpass, axis=2)).astype(np.int16)
     # floor(p - m + 0.5) == (2p - 2m + 1) >> 1 for any m that is a multiple of 0.5.
