@@ -123,11 +123,13 @@ def median_network(k: int) -> tuple[tuple[int, int, bool, bool], ...]:
     return tuple(reversed(steps))
 
 
-def _network_median(padded: np.ndarray, kernel_rows: int) -> np.ndarray:
-    """Running median of kernel_rows rows over row-padded uint8 pixels,
-    one comparator network over the k row-shifted views of each block."""
-    channels, padded_rows, width = padded.shape
-    rows = padded_rows - kernel_rows + 1
+def _network_median(pixels: np.ndarray, kernel_rows: int) -> np.ndarray:
+    """Running median of kernel_rows rows down each column, edge rows
+    repeated: one comparator network over the k row-shifted views of
+    each block of rows."""
+    channels, rows, width = pixels.shape
+    pad = kernel_rows // 2
+    padded = np.pad(pixels, ((0, 0), (pad, pad), (0, 0)), mode="edge")
     block = max(1, NETWORK_BLOCK_PIXELS // width)
     lowpass = np.empty((channels, rows, width), dtype=np.uint8)
     for c in range(channels):
@@ -170,11 +172,10 @@ def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
             f"kernel_rows {kernel_rows} exceeds frame rows {frame.rows}"
         )
     pad = kernel_rows // 2
-    padded = np.pad(frame.pixels, ((0, 0), (pad, pad), (0, 0)), mode="edge")
     if kernel_rows <= NETWORK_MAX_KERNEL:
-        lowpass = _network_median(padded, kernel_rows)
+        lowpass = _network_median(frame.pixels, kernel_rows)
     else:  # the padded columns laid end to end, so no window crosses into the next
-        columns = padded.transpose(0, 2, 1).copy()
+        columns = np.pad(frame.pixels.transpose(0, 2, 1), ((0, 0), (0, 0), (pad, pad)), mode="edge")
         lowpass = median_filter(columns.ravel(), size=kernel_rows, mode="nearest")
         lowpass = lowpass.reshape(columns.shape)[:, :, pad:-pad].transpose(0, 2, 1)
     pixels = frame.pixels.astype(np.int16)
