@@ -47,7 +47,8 @@ TUNE_FPS_STEP = 0.01  # fps spacing of the tune grid
 MAX_TUNE_CANDIDATES = 10**8  # most (fps, frame length) pairs one search may try
 # Largest lowpass kernel the median network runs; above it SciPy's rank
 # filter is faster. Measured on 1- and 3-channel 640x480 and 1280x800
-# frames on a 2-core x86_64 host: the network wins up to k = 55.
+# frames on a 2-core x86_64 host: the network is faster or level up to
+# k = 55 and slower at 57.
 NETWORK_MAX_KERNEL = 55
 # Pixels per channel row-block the network works on, so its k live
 # views stay in cache and the crossover does not move with frame size.
