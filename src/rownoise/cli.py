@@ -17,14 +17,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys
+import tempfile
 from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import imageio, mitigation, physics, sweep as sweepmod
 from .metric import row_noise
-from .sensor import PhaseMode, SimScenario, _build_section, scenario_to_json, simulate_stack
+from .sensor import PhaseMode, SimScenario, _build_section, iter_stack, scenario_to_json
+from .sensor import simulate_stack  # noqa: F401  bench/test_bench.py traces cli.simulate_stack
 
 __all__ = ["main"]
 
@@ -147,15 +150,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise UsageError(f"frames must be an integer >= 1, got {n!r}")
 
-    stack = simulate_stack(scenario, n)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ext = imageio.image_suffix(scenario.sensor.channels)
-    names = []
-    for i, frame in enumerate(stack, start=1):
-        name = f"im{i}{ext}"  # the im* names that analyze, mitigate and sweep read
-        imageio.write_image(frame, out_dir / name)
-        names.append(name)
+    # The im* names that analyze, mitigate and sweep read.
+    names = [f"im{i}{ext}" for i in range(1, n + 1)]
+    # Each frame is written as it is made, into a staging directory on
+    # out_dir's file system, and takes its name once every frame is made:
+    # a frame that fails leaves no file or directory behind.
+    anchor = next(p for p in (out_dir, *out_dir.parents) if p.is_dir())
+    staging = Path(tempfile.mkdtemp(prefix=".simulate-", dir=anchor))
+    try:
+        for name, frame in zip(names, iter_stack(scenario, n)):
+            imageio.write_image(frame, staging / name)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name in names:
+            (staging / name).replace(out_dir / name)
+    finally:
+        shutil.rmtree(staging)
     _write_sidecar(
         out_dir / "config.json",
         {

@@ -50,8 +50,9 @@ MAX_TUNE_CANDIDATES = 10**8  # most (fps, frame length) pairs one search may try
 # frames on a 2-core x86_64 host: the network is faster or level up to
 # k = 55 and slower at 57.
 NETWORK_MAX_KERNEL = 55
-# Pixels per channel row-block the network works on, so its k live
-# views stay in cache and the crossover does not move with frame size.
+# Pixels per row-block the network and the row median work on, so the
+# network's k live views and the median's counts stay in cache and the
+# crossover does not move with frame size.
 NETWORK_BLOCK_PIXELS = 1 << 16
 
 
@@ -147,6 +148,32 @@ def _network_median(pixels: np.ndarray, kernel_rows: int) -> np.ndarray:
     return lowpass
 
 
+def _twice_row_medians(residue: np.ndarray) -> np.ndarray:
+    """Twice the median of each row of an integer (channels, rows, width)
+    array, exact, as int16 (channels, rows): the sum of the row's two
+    middle values, which are one value when the width is odd.
+
+    Each block of whole rows, about NETWORK_BLOCK_PIXELS values, is
+    counted with one bincount over (row, value - lo), lo..hi being the
+    block's own range. In the running count, the i-th smallest value of
+    row r is the first bin whose count exceeds r * width + i.
+    """
+    channels, rows, width = residue.shape
+    flat = residue.reshape(-1, width)
+    twice = np.empty(len(flat), dtype=np.int16)
+    block = max(1, NETWORK_BLOCK_PIXELS // width)
+    for start in range(0, len(flat), block):
+        part = flat[start:start + block]
+        lo = int(part.min())
+        row_bins = np.arange(len(part)) * (int(part.max()) - lo + 1)  # first bin of each row
+        counts = np.bincount((part + (row_bins - lo)[:, None]).ravel()).cumsum()
+        ahead = np.arange(len(part)) * width  # values in the block's rows above
+        middle = np.searchsorted(counts, ahead + (width - 1) // 2, side="right")
+        middle += np.searchsorted(counts, ahead + width // 2, side="right")
+        twice[start:start + block] = middle - 2 * (row_bins - lo)
+    return twice.reshape(channels, rows)
+
+
 def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
     """Remove row-rate offsets using only the image itself.
 
@@ -163,8 +190,9 @@ def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
     pixel. Above it SciPy's 1-D rank filter runs down the columns, whose
     cost grows with log k, so a large kernel costs little more than one
     at the crossover. Both give the same bits. The residue is exact in
-    int16 and its row median a multiple of 0.5, so the offset is
-    subtracted and rounded half up in integers.
+    int16, and each row's median is read off counts of its values
+    (_twice_row_medians) as twice the median, an integer, so the offset
+    is subtracted and rounded half up with no float step.
     """
     if kernel_rows < 3 or kernel_rows % 2 == 0:
         raise ValueError(f"kernel_rows must be odd and >= 3, got {kernel_rows}")
@@ -180,11 +208,8 @@ def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
         lowpass = median_filter(columns.ravel(), size=kernel_rows, mode="nearest")
         lowpass = lowpass.reshape(columns.shape)[:, :, pad:-pad].transpose(0, 2, 1)
     pixels = frame.pixels.astype(np.int16)
-    twice_offsets = (2.0 * np.median(pixels - lowpass, axis=2)).astype(np.int16)
-    # floor(p - m + 0.5) == (2p - 2m + 1) >> 1 for any m that is a multiple of 0.5.
-    pixels <<= 1
-    pixels -= twice_offsets[:, :, None] - 1
-    pixels >>= 1
+    # floor(p - m + 0.5) == p - floor(m) for a median m that is a multiple of 0.5.
+    pixels -= (_twice_row_medians(pixels - lowpass) >> 1)[:, :, None]
     return Frame(pixels=np.clip(pixels, 0, MAX_DN).astype(np.uint8))
 
 

@@ -43,6 +43,7 @@ import json
 import math
 import numbers
 import sys
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -67,6 +68,7 @@ __all__ = [
     "row_supply_offsets_dn",
     "simulate_frame_analog",
     "simulate_frame",
+    "iter_stack",
     "simulate_stack",
     "scenario_to_json",
     "scenario_from_json",
@@ -454,12 +456,19 @@ def simulate_frame(
     return Frame(pixels=_quantize_in_place(analog))
 
 
-def simulate_stack(scenario: SimScenario, n_frames: int) -> list[Frame]:
-    """n_frames consecutive captures sharing one set of FPN maps."""
+def iter_stack(scenario: SimScenario, n_frames: int) -> Iterator[Frame]:
+    """The frames of simulate_stack, made one at a time as they are asked
+    for, so a caller that writes each out holds one frame at a time."""
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
     fpn = generate_fpn_maps(scenario.seed, scenario.sensor, scenario.spatial)
-    return [simulate_frame(scenario, i, fpn) for i in range(n_frames)]
+    for i in range(n_frames):
+        yield simulate_frame(scenario, i, fpn)
+
+
+def simulate_stack(scenario: SimScenario, n_frames: int) -> list[Frame]:
+    """n_frames consecutive captures sharing one set of FPN maps."""
+    return list(iter_stack(scenario, n_frames))
 
 
 def scenario_to_json(scenario: SimScenario) -> str:

@@ -14,6 +14,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import typing
 import warnings
 from pathlib import Path
@@ -24,7 +25,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rownoise.cli import build_parser, main
 from rownoise.imageio import write_image
-from rownoise.sensor import Frame, SimScenario
+from rownoise.sensor import Frame, SimScenario, scenario_from_json, simulate_stack
 from rownoise.sweep import SweepConfig
 
 PHASE = str(math.pi / 4.0)
@@ -122,6 +123,52 @@ class TestSimulate:
         assert main(["simulate", *SMALL_FLAGS, *flags, "--out-dir", str(tmp_path)]) == 2
         assert "must be a finite number" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_frames_are_the_stack_and_stdout_names_them(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", *BANDED_FLAGS, "--read-noise", "2", "--dsnu", "0.5",
+                     "--frames", "3", "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote im1.pgm, im2.pgm, im3.pgm and config.json to {out}\n"
+        scenario = json.loads((out / "config.json").read_text())["scenario"]
+        for i, frame in enumerate(simulate_stack(scenario_from_json(json.dumps(scenario)), 3), 1):
+            write_image(frame, tmp_path / "expected.pgm")
+            assert (out / f"im{i}.pgm").read_bytes() == (tmp_path / "expected.pgm").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.pgm", "run"]
+
+    def test_peak_memory_does_not_grow_with_frames(self, tmp_path):
+        # Each frame is written as it is made, so eight frames peak no
+        # higher than two by as much as one frame.
+        width, rows = 128, 96
+
+        def peak(frames: int) -> int:
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--width", str(width), "--active-rows", str(rows),
+                             "--read-noise", "2", "--frames", str(frames),
+                             "--out-dir", str(tmp_path / str(frames))]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # imports and caches
+        assert peak(8) - peak(2) < width * rows
+
+    def test_overflow_in_a_later_frame_writes_nothing(self, tmp_path, capsys):
+        # Frame 0 is read out within 1/60 s; frame 1 starts at 2 s, where
+        # 2 pi f t overflows.
+        argv = ["simulate", "--width", "4", "--active-rows", "4", "--fps", "0.5",
+                "--noise-freq", "2e307", "--noise-amp", "1"]
+        assert main([*argv, "--frames", "1", "--out-dir", str(tmp_path / "one")]) == 0
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "im1.pgm").write_bytes(b"an earlier run")
+        for out in (kept, tmp_path / "new" / "deeper"):
+            capsys.readouterr()
+            assert main([*argv, "--frames", "3", "--out-dir", str(out)]) == 2
+            assert "overflow" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept", "one"]
+        assert [p.name for p in kept.iterdir()] == ["im1.pgm"]
+        assert (kept / "im1.pgm").read_bytes() == b"an earlier run"
 
     def test_overflowing_scenario_leaves_no_out_dir(self, tmp_path, capsys):
         out = tmp_path / "d"

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.ndimage import median_filter
 
 from rownoise.metric import row_noise_single
@@ -15,6 +16,7 @@ from rownoise.mitigation import (
     NETWORK_MAX_KERNEL,
     TUNE_FPS_STEP,
     TuningMode,
+    _twice_row_medians,
     dark_reference_correct,
     lowpass_offset_suppress,
     median_network,
@@ -160,10 +162,13 @@ class TestLowpassSuppress:
         # The formula before the per-column 1-D running median: a float64
         # (1, k, 1) median filter over the whole stack, a float median
         # over each row of the residue, a float subtract, then quantize.
-        for seed in range(4):
+        for seed in range(5):
             rng = np.random.default_rng(seed)
             pixels = rng.integers(0, 256, (channels, rows, width), dtype=np.uint8)
-            if seed % 2:  # near-dark banded frames as well as full-range noise
+            if seed == 4:  # rows of 0 and 255 in turn: at k = 3 and 55 the residue rows are -255 and 255
+                pixels = np.broadcast_to(255 * (np.arange(rows) % 2)[:, None], pixels.shape)
+                pixels = pixels.astype(np.uint8)
+            elif seed % 2:  # near-dark banded frames as well as full-range noise
                 pixels = np.clip(pixels // 16 + 8 * (np.arange(rows) % 3)[:, None], 0, 255)
                 pixels = pixels.astype(np.uint8)
             as_float = pixels.astype(np.float64)
@@ -173,6 +178,28 @@ class TestLowpassSuppress:
             got = lowpass_offset_suppress(Frame(pixels=pixels), kernel).pixels
             assert got.dtype == np.uint8
             assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        channels=st.sampled_from([1, 3]),
+        rows=st.integers(1, 6),
+        width=st.integers(1, 40),
+        bounds=st.tuples(st.integers(-255, 255), st.integers(-255, 255)).map(sorted),
+        constant_rows=st.booleans(),
+        data=st.data(),
+    )
+    def test_twice_row_medians_is_twice_the_float_median(
+        self, channels, rows, width, bounds, constant_rows, data
+    ):
+        lo, hi = bounds
+        shape = (channels, rows, width)
+        residue = data.draw(arrays(np.int16, shape, elements=st.integers(lo, hi)), label="residue")
+        if constant_rows:
+            residue[:, ::2] = residue[:, ::2, :1]
+        expected = (2.0 * np.median(residue, axis=2)).astype(np.int16)
+        got = _twice_row_medians(residue)
+        assert got.dtype == np.int16
+        assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("kernel", range(3, NETWORK_MAX_KERNEL + 1, 2))
     def test_median_network_selects_the_median_of_any_0_1_column(self, kernel):
