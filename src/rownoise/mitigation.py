@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.ndimage import median_filter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import physics
 from .sensor import MAX_DN, Frame, _quantize_in_place, rc_attenuation
@@ -45,14 +45,9 @@ __all__ = [
 
 TUNE_FPS_STEP = 0.01  # fps spacing of the tune grid
 MAX_TUNE_CANDIDATES = 10**8  # most (fps, frame length) pairs one search may try
-# Largest lowpass kernel the median network runs; above it SciPy's rank
-# filter is faster. Measured on 1- and 3-channel 640x480 and 1280x800
-# frames on a 2-core x86_64 host: the network is faster or level up to
-# k = 55 and slower at 57.
-NETWORK_MAX_KERNEL = 55
+MAX_KERNEL_ROWS = 4095  # tallest lowpass kernel: any odd one a 4096-row frame takes
 # Pixels per row-block the network and the row median work on, so the
-# network's k live views and the median's counts stay in cache and the
-# crossover does not move with frame size.
+# network's views and the median's counts stay in cache.
 NETWORK_BLOCK_PIXELS = 1 << 16
 
 
@@ -93,7 +88,7 @@ def _merge_exchange(n: int) -> list[tuple[int, int]]:
     puts the smaller value at i, in the order they run."""
     pairs: list[tuple[int, int]] = []
     t = (n - 1).bit_length()
-    p = 1 << (t - 1)
+    p = (1 << t) >> 1  # 0 for one input: no comparators
     while p > 0:
         q, r, d = 1 << (t - 1), 0, p
         while True:
@@ -106,18 +101,18 @@ def _merge_exchange(n: int) -> list[tuple[int, int]]:
 
 
 @functools.cache
-def median_network(k: int) -> tuple[tuple[int, int, bool, bool], ...]:
-    """The merge exchange network for k inputs pruned to its middle output.
+def selection_network(n: int, lo: int, hi: int) -> tuple[tuple[int, int, bool, bool], ...]:
+    """The merge exchange network for n inputs pruned to outputs lo..hi.
 
     Each step (i, j, keep_min, keep_max) sets input i to min(i, j) when
     keep_min and input j to max(i, j) when keep_max; a comparator whose
-    outputs the middle one does not depend on is dropped, and so is each
-    half of one whose other output alone is needed. After the steps, input
-    k // 2 holds the median.
+    outputs none of lo..hi depends on is dropped, and so is each half of
+    one whose other output alone is needed. After the steps, inputs
+    lo..hi hold the lo-th to hi-th smallest values, in order.
     """
-    needed = {k // 2}
+    needed = set(range(lo, hi + 1))
     steps = []
-    for i, j in reversed(_merge_exchange(k)):
+    for i, j in reversed(_merge_exchange(n)):
         keep_min, keep_max = i in needed, j in needed
         if keep_min or keep_max:
             steps.append((i, j, keep_min, keep_max))
@@ -125,27 +120,53 @@ def median_network(k: int) -> tuple[tuple[int, int, bool, bool], ...]:
     return tuple(reversed(steps))
 
 
-def _network_median(pixels: np.ndarray, kernel_rows: int) -> np.ndarray:
-    """Running median of kernel_rows rows down each column, edge rows
-    repeated: one comparator network over the k row-shifted views of
-    each block of rows."""
+def _select(rows: list[np.ndarray], lo: int, hi: int) -> list[np.ndarray]:
+    """The lo-th to hi-th smallest of rows, elementwise, selected in place."""
+    spare = np.empty_like(rows[0])
+    for i, j, keep_min, keep_max in selection_network(len(rows), lo, hi):
+        a, b = rows[i], rows[j]
+        if keep_min and keep_max:
+            np.minimum(a, b, out=spare)
+            np.maximum(a, b, out=b)
+            rows[i], spare = spare, a
+        elif keep_min:
+            np.minimum(a, b, out=a)
+        else:
+            np.maximum(a, b, out=b)
+    return rows[lo:hi + 1]
+
+
+def _network_median(pixels: np.ndarray, k: int) -> np.ndarray:
+    """Running median of k rows down each column, edge rows repeated.
+
+    Output rows go in blocks of b = isqrt(k), whose windows share a core
+    of k - e rows, e = b - 1. With h = k // 2, the core's h - e smallest
+    and h - e largest values lie below and above each of those windows'
+    medians, so a window's median is that of the core's order statistics
+    h - e .. h, selected once per block, and the window's own e rows. Each
+    comparator is one np.minimum or np.maximum over uint8 views of every
+    block and channel at once, in passes of whole blocks whose views hold
+    at most NETWORK_BLOCK_PIXELS pixels each and 512 times that together.
+    """
     channels, rows, width = pixels.shape
-    pad = kernel_rows // 2
-    padded = np.pad(pixels, ((0, 0), (pad, pad), (0, 0)), mode="edge")
-    block = max(1, NETWORK_BLOCK_PIXELS // width)
-    lowpass = np.empty((channels, rows, width), dtype=np.uint8)
-    for c in range(channels):
-        for start in range(0, rows, block):
-            stop = min(start + block, rows)
-            views = [padded[c, start + t:stop + t] for t in range(kernel_rows)]
-            for i, j, keep_min, keep_max in median_network(kernel_rows):
-                a, b = views[i], views[j]
-                if keep_min:
-                    views[i] = np.minimum(a, b)
-                if keep_max:
-                    views[j] = np.maximum(a, b)
-            lowpass[c, start:stop] = views[kernel_rows // 2]
-    return lowpass
+    block = math.isqrt(k)
+    e, h = block - 1, k // 2
+    blocks = -(-rows // block)
+    padded = np.pad(pixels, ((0, 0), (h, h + blocks * block - rows), (0, 0)), mode="edge")
+    # windows[c, n, :, t] is row t of the k + e rows block n's windows cover.
+    windows = sliding_window_view(padded, k + e, axis=1)[:, ::block]
+    lowpass = np.empty((channels, blocks, block, width), dtype=np.uint8)
+    view = min(NETWORK_BLOCK_PIXELS, (NETWORK_BLOCK_PIXELS << 9) // (k - e))
+    passes = max(1, -(-blocks * channels * width // view))  # 1 for a frame of no channels
+    per_pass = -(-blocks // passes)
+    for start in range(0, blocks, per_pass):
+        part = windows[:, start:start + per_pass]
+        middle = _select([part[..., t].copy() for t in range(e, k)], h - e, h)
+        for t in range(block):
+            own = [part[..., u].copy() for u in (*range(t, e), *range(k, k + t))]
+            window = [m.copy() for m in middle] + own
+            lowpass[:, start:start + per_pass, t] = _select(window, e, e)[0]
+    return lowpass.reshape(channels, blocks * block, width)[:, :rows]
 
 
 def _twice_row_medians(residue: np.ndarray) -> np.ndarray:
@@ -184,29 +205,23 @@ def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
     estimate; subtracting it flattens the banding while leaving
     vertical ramps and uniform regions untouched.
 
-    Up to NETWORK_MAX_KERNEL rows the running median is a comparator
-    network (median_network) over the kernel_rows row-shifted uint8
-    views, whose cost grows with the comparators, about k log^2 k per
-    pixel. Above it SciPy's 1-D rank filter runs down the columns, whose
-    cost grows with log k, so a large kernel costs little more than one
-    at the crossover. Both give the same bits. The residue is exact in
-    int16, and each row's median is read off counts of its values
-    (_twice_row_medians) as twice the median, an integer, so the offset
-    is subtracted and rounded half up with no float step.
+    The running median is one comparator network route for every kernel
+    (_network_median), whose cost grows about as sqrt(k) log^2 k per
+    pixel; kernels above MAX_KERNEL_ROWS are rejected before any network
+    is built. The residue is exact in int16, and each row's median is
+    read off counts of its values (_twice_row_medians) as twice the
+    median, an integer, so the offset is subtracted and rounded half up
+    with no float step.
     """
     if kernel_rows < 3 or kernel_rows % 2 == 0:
         raise ValueError(f"kernel_rows must be odd and >= 3, got {kernel_rows}")
+    if kernel_rows > MAX_KERNEL_ROWS:
+        raise ValueError(f"kernel_rows {kernel_rows} is above the cap of {MAX_KERNEL_ROWS}")
     if kernel_rows > frame.rows:
         raise ValueError(
             f"kernel_rows {kernel_rows} exceeds frame rows {frame.rows}"
         )
-    pad = kernel_rows // 2
-    if kernel_rows <= NETWORK_MAX_KERNEL:
-        lowpass = _network_median(frame.pixels, kernel_rows)
-    else:  # the padded columns laid end to end, so no window crosses into the next
-        columns = np.pad(frame.pixels.transpose(0, 2, 1), ((0, 0), (0, 0), (pad, pad)), mode="edge")
-        lowpass = median_filter(columns.ravel(), size=kernel_rows, mode="nearest")
-        lowpass = lowpass.reshape(columns.shape)[:, :, pad:-pad].transpose(0, 2, 1)
+    lowpass = _network_median(frame.pixels, kernel_rows)
     pixels = frame.pixels.astype(np.int16)
     # floor(p - m + 0.5) == p - floor(m) for a median m that is a multiple of 0.5.
     pixels -= (_twice_row_medians(pixels - lowpass) >> 1)[:, :, None]

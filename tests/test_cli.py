@@ -9,6 +9,7 @@ import io
 import json
 import math
 import re
+import resource
 import shlex
 import struct
 import subprocess
@@ -176,6 +177,27 @@ class TestSimulate:
                      "--noise-amp", "1", "--frames", "1", "--out-dir", str(out)]) == 2
         assert "overflow" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_of_memory_is_a_clean_exit_1(self, tmp_path):
+        # The frame's float64 buffer is 74.5 GiB. In a child whose address
+        # space is capped at 1.5 GiB the allocation fails at once, where
+        # without the cap it could be granted lazily and the child killed.
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1500 << 20, 1500 << 20))
+
+        out = tmp_path / "d"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rownoise.cli", "simulate", "--width", "100000",
+             "--active-rows", "100000", "--frames", "1", "--out-dir", str(out)],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap_address_space,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not list(tmp_path.iterdir())  # no staging directory, no out-dir
 
 
 # Sidecars as a release with the sensor field bit_depth wrote them, and
@@ -918,6 +940,15 @@ class TestMitigateCli:
         capsys.readouterr()
         assert main(["mitigate", *flags, "--out-dir", str(out), str(src)]) == 2
         assert "exceeds frame" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kernel_above_the_cap_is_usage_error(self, tmp_path, capsys):
+        src = self.banded_dir(tmp_path)
+        out = tmp_path / "newdir"
+        capsys.readouterr()
+        assert main(["mitigate", "--method", "lowpass", "--kernel-rows", "4097",
+                     "--out-dir", str(out), str(src)]) == 2
+        assert "kernel_rows 4097 is above the cap of 4095" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
-"""Every name a rownoise module lists in __all__ exists, and the README's
-library example runs."""
+"""Every name a rownoise module lists in __all__ exists, the README's
+library example runs, and the CLI starts without SciPy."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +31,14 @@ def test_readme_library_example_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
     assert float(capsys.readouterr().out) > 0
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the one runtime dependency; SciPy is a test dependency only.
+    code = (
+        "import sys, rownoise.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -5,7 +5,7 @@ that shifts every run the same way passes them. These pins do not: each
 is the sha256 of the analog values and the quantized pixels of a small
 scenario, one per noise source, of the criterion-11 sweep CSV and its
 report JSON, or of the two image corrections on banded captures, the
-lowpass at kernels on both sides of its median network's crossover. They
+lowpass at kernels whose running median takes blocks of 1 to 10 rows. They
 were taken before the simulator's hot path, later the lowpass median and
 then the report's JSON writer, was rewritten and must not be edited to
 follow a change in output bits; a deliberate change of the Philox
@@ -191,7 +191,7 @@ def banded_capture(rows: int = 40) -> Frame:
         ("lowpass_3", lambda: lowpass_offset_suppress(banded_capture(), 3)),
         # The largest odd kernel 40 rows take.
         ("lowpass_39", lambda: lowpass_offset_suppress(banded_capture(), 39)),
-        # A kernel above the median network's crossover to the rank filter.
+        # Blocks of 10 rows; pinned when kernels this tall ran on a rank filter.
         ("lowpass_101_tall", lambda: lowpass_offset_suppress(banded_capture(120), 101)),
     ],
 )

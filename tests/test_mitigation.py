@@ -11,19 +11,19 @@ from scipy.ndimage import median_filter
 
 from rownoise.metric import row_noise_single
 from rownoise.mitigation import (
+    MAX_KERNEL_ROWS,
     MAX_TUNE_CANDIDATES,
     NETWORK_BLOCK_PIXELS,
-    NETWORK_MAX_KERNEL,
     TUNE_FPS_STEP,
     TuningMode,
+    _select,
     _twice_row_medians,
     dark_reference_correct,
     lowpass_offset_suppress,
-    median_network,
     predict_filter_effect,
     recommend_tuning,
 )
-from rownoise import physics
+from rownoise import mitigation, physics
 from rownoise.physics import UNIFORM
 from rownoise.sensor import (
     Frame,
@@ -106,6 +106,10 @@ class TestLowpassSuppress:
         fixed = lowpass_offset_suppress(frame, 9)
         assert np.array_equal(fixed.pixels, frame.pixels)
 
+    def test_frame_of_no_channels_is_returned_empty(self):
+        frame = Frame(pixels=np.zeros((0, 9, 4), dtype=np.uint8))
+        assert lowpass_offset_suppress(frame, 3).pixels.shape == (0, 9, 4)
+
     def test_single_row_band_removed(self):
         pixels = np.full((1, 48, 32), 100, dtype=np.uint8)
         pixels[0, 20, :] = 120
@@ -150,12 +154,17 @@ class TestLowpassSuppress:
             (9, 17, 9),  # rows == kernel: every window reaches an edge
             (3, 5, 3),
             (12, 1, 5),  # one column: the row median is the residue itself
-            # Row-blocks of 16, 16 and 8 rows.
+            # Row-median blocks of 16, 16 and 8 rows.
             (40, NETWORK_BLOCK_PIXELS // 16, 9),
-            # The largest network kernel and one on each side of it.
-            (NETWORK_MAX_KERNEL + 3, 23, NETWORK_MAX_KERNEL - 2),
-            (NETWORK_MAX_KERNEL + 3, 24, NETWORK_MAX_KERNEL),
-            (NETWORK_MAX_KERNEL + 3, 23, NETWORK_MAX_KERNEL + 2),
+            # Kernels on each side of a step in the block height isqrt(k), in
+            # frames whose rows are not a whole number of blocks.
+            (21, 23, 5),  # blocks of 2
+            (31, 23, 15),  # 3
+            (31, 24, 17),  # 4
+            (59, 23, 25),  # 5
+            (59, 23, 57),  # 7
+            (103, 23, 101),  # 10
+            (481, 5, 479),  # 21
         ],
     )
     def test_matches_float_median_filter_bit_for_bit(self, channels, rows, width, kernel):
@@ -165,7 +174,7 @@ class TestLowpassSuppress:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             pixels = rng.integers(0, 256, (channels, rows, width), dtype=np.uint8)
-            if seed == 4:  # rows of 0 and 255 in turn: at k = 3 and 55 the residue rows are -255 and 255
+            if seed == 4:  # rows of 0 and 255 in turn: at k = 3 and 15 the residue rows are -255 and 255
                 pixels = np.broadcast_to(255 * (np.arange(rows) % 2)[:, None], pixels.shape)
                 pixels = pixels.astype(np.uint8)
             elif seed % 2:  # near-dark banded frames as well as full-range noise
@@ -178,6 +187,16 @@ class TestLowpassSuppress:
             got = lowpass_offset_suppress(Frame(pixels=pixels), kernel).pixels
             assert got.dtype == np.uint8
             assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kernel", [3, 9, 17, 101])
+    @pytest.mark.parametrize("block_pixels", [1, 64])
+    def test_running_median_in_passes_matches_one_pass(self, monkeypatch, kernel, block_pixels):
+        # Row views of 1 and 64 pixels split these frames into passes of one
+        # block and of three, with a shorter last pass at k = 3 and 101.
+        pixels = np.random.default_rng(kernel).integers(0, 256, (3, 107, 7), dtype=np.uint8)
+        expected = median_filter(pixels, size=(1, kernel, 1), mode="nearest")
+        monkeypatch.setattr(mitigation, "NETWORK_BLOCK_PIXELS", block_pixels)
+        assert np.array_equal(mitigation._network_median(pixels, kernel), expected)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -201,25 +220,47 @@ class TestLowpassSuppress:
         assert got.dtype == np.int16
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("kernel", range(3, NETWORK_MAX_KERNEL + 1, 2))
-    def test_median_network_selects_the_median_of_any_0_1_column(self, kernel):
-        # The 0-1 principle: min and max commute with every monotone map, so
-        # a network that puts the median of each 0/1 input at its middle
-        # output does so for any input. Every 0/1 column up to k = 19, a
-        # seeded sample of them above.
-        if kernel <= 19:
-            columns = np.arange(2**kernel)
+    @pytest.mark.parametrize(
+        "n, lo, hi",
+        sorted(
+            {
+                network
+                for k in range(3, 56, 2)
+                for e in [math.isqrt(k) - 1]
+                for network in [(k - e, k // 2 - e, k // 2), (2 * e + 1, e, e)]
+            }
+        ),
+    )
+    def test_selection_network_selects_order_statistics_of_any_0_1_column(self, n, lo, hi):
+        # Every network the running median builds up to k = 55: each block's
+        # core and each row's median. The 0-1 principle: min and max commute
+        # with every monotone map, so a network that puts the p-th smallest
+        # of each 0/1 input at output p does so for any input. Every 0/1
+        # column up to n = 19, a seeded sample of them above.
+        if n <= 19:
+            columns = np.arange(2**n)
         else:
-            columns = np.random.default_rng(kernel).integers(0, 2**kernel, 20000)
-        values = [((columns >> t) & 1).astype(np.uint8) for t in range(kernel)]
-        expected = np.sum(values, axis=0) > kernel // 2
-        for i, j, keep_min, keep_max in median_network(kernel):
-            a, b = values[i], values[j]
-            if keep_min:
-                values[i] = np.minimum(a, b)
-            if keep_max:
-                values[j] = np.maximum(a, b)
-        assert np.array_equal(values[kernel // 2], expected)
+            columns = np.random.default_rng(n).integers(0, 2**n, 20000)
+        values = [((columns >> t) & 1).astype(np.uint8) for t in range(n)]
+        ones = np.sum(values, axis=0)
+        for p, selected in enumerate(_select(values, lo, hi), lo):
+            assert np.array_equal(selected, ones > n - 1 - p)
+
+    def test_kernel_above_the_cap_is_rejected_before_any_network(self, monkeypatch):
+        def no_network(*args):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(mitigation, "selection_network", no_network)
+        kernel = MAX_KERNEL_ROWS + 2
+        frame = Frame(pixels=np.zeros((1, kernel, 1), dtype=np.uint8))
+        with pytest.raises(ValueError, match=f"{kernel} is above the cap of {MAX_KERNEL_ROWS}"):
+            lowpass_offset_suppress(frame, kernel)
+
+    def test_kernel_at_the_cap_is_served(self):
+        shape = (1, MAX_KERNEL_ROWS + 1, 2)
+        pixels = np.random.default_rng(0).integers(0, 256, shape, dtype=np.uint8)
+        expected = median_filter(pixels, size=(1, MAX_KERNEL_ROWS, 1), mode="nearest")
+        assert np.array_equal(mitigation._network_median(pixels, MAX_KERNEL_ROWS), expected)
 
     @pytest.mark.parametrize("kernel", [2, 1, -3, 33])
     def test_kernel_validation(self, kernel):
