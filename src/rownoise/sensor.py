@@ -24,12 +24,16 @@ photo-response non-uniformity (PRNU) has nothing to act on and is not
 modelled; SpatialNoiseConfig accepts only prnu_fraction 0.
 
 Determinism: every stochastic term draws from its own Philox substream
-keyed by (seed, frame_index, source tag), filled row-major in one shot.
-Frames can therefore be generated in any order, on any worker count, and
-come out bit-identical. Fixed-pattern maps are keyed by seed alone so
-they stay frozen across a stack. A source whose sigma or switch is off
-draws nothing and adds nothing, which leaves the other substreams and
-every output bit as they would be with its zero term added.
+keyed by (seed, frame_index, source tag), filled row-major. A substream
+may be drawn in consecutive pieces, which gives the same values as one
+draw. Reset and flicker noise are drawn on one helper thread while shot
+and read noise stream into the frame, and the terms are still summed in
+one fixed order. Frames can therefore be generated in any order, on any
+worker count, and come out bit-identical. Fixed-pattern maps are keyed
+by seed alone so they stay frozen across a stack. A source whose sigma
+or switch is off draws nothing and adds nothing, which leaves the other
+substreams and every output bit as they would be with its zero term
+added.
 
 Units: one simulated electron contributes one DN. Neither the supply
 coupling path nor the 0 lux operating point gives a reason to pick a
@@ -44,6 +48,7 @@ import math
 import numbers
 import sys
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -76,6 +81,7 @@ __all__ = [
 
 MAX_DN = 255  # 8-bit output range
 PINK_OCTAVES = 16  # octaves summed by pink_noise
+_CHUNK = 1 << 16  # elements per piece of the shot and read noise draws
 
 # Substream tags. Values are part of the reproducibility contract:
 # changing them changes every simulated frame.
@@ -317,8 +323,9 @@ def pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    total = np.zeros(n, dtype=np.float64)
-    for k in range(PINK_OCTAVES):
+    total = np.empty(n, dtype=np.float64)
+    rng.standard_normal(out=total)  # octave 0: one draw per output
+    for k in range(1, PINK_OCTAVES):
         step = 1 << k
         draws = rng.standard_normal((n + step - 1) // step)
         # Each draw covers one block of `step` outputs; the last block
@@ -330,13 +337,6 @@ def pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
             total[whole * step :] += draws[whole]
     total /= math.sqrt(PINK_OCTAVES)
     return total
-
-
-def _add_scaled_normal(analog: np.ndarray, rng: np.random.Generator, sigma: float) -> None:
-    # The same bits as analog += rng.normal(0.0, sigma, analog.shape).
-    noise = rng.standard_normal(analog.shape)
-    noise *= sigma
-    analog += noise
 
 
 def _quantize_in_place(analog: np.ndarray) -> np.ndarray:
@@ -405,6 +405,24 @@ def row_supply_offsets_dn(scenario: SimScenario, frame_index: int) -> np.ndarray
     return supply.coupling_gain * sensor.dn_per_volt * volts
 
 
+def _add_shot_and_read(flat: np.ndarray, shot, read) -> None:
+    """Add shot and read noise to flat in pieces of _CHUNK elements. shot
+    is (generator, mean electrons) and read is (generator, sigma DN),
+    either None when off. Each piece continues its generator's draws, so
+    the values are those of one whole-frame draw."""
+    buf = np.empty(min(flat.size, _CHUNK), dtype=np.float64) if read else None
+    for start in range(0, flat.size, _CHUNK):
+        piece = flat[start : start + _CHUNK]
+        m = piece.size
+        if shot:
+            piece += shot[0].poisson(shot[1], m)  # 1 DN per e-
+        if read:
+            noise = buf[:m]
+            read[0].standard_normal(out=noise)
+            noise *= read[1]
+            piece += noise
+
+
 @_finite_arithmetic()
 def simulate_frame_analog(
     scenario: SimScenario, frame_index: int, fpn: FpnMaps | None = None
@@ -413,6 +431,9 @@ def simulate_frame_analog(
 
     The terms are summed into one buffer in a fixed order: pedestal plus
     supply offset, shot, read, reset, flicker, pixel FPN, column FPN.
+    Shot and read noise stream in on the calling thread while one helper
+    thread draws the raw reset normals and the flicker series; every
+    scaling and sum runs here, under this function's overflow checks.
     """
     sensor = scenario.sensor
     temporal = scenario.temporal
@@ -427,18 +448,52 @@ def simulate_frame_analog(
     def stream(tag: int) -> np.random.Generator:
         return _stream(scenario.seed, frame_index, tag)
 
-    if temporal.shot_enabled and temporal.dark_signal_e > 0:
-        analog += stream(_TAG_SHOT).poisson(temporal.dark_signal_e, shape)  # 1 DN per e-
-    if temporal.read_noise_dn > 0:
-        _add_scaled_normal(analog, stream(_TAG_READ), temporal.read_noise_dn)
+    reset_sigma = None
     if temporal.reset_enabled and not temporal.cds_enabled:
-        sigma = (
+        reset_sigma = (
             physics.reset_noise_v(temporal.reset_temp_k, temporal.reset_cap_f)
             * sensor.dn_per_volt
         )
-        _add_scaled_normal(analog, stream(_TAG_RESET), sigma)
-    if temporal.flicker_enabled and temporal.flicker_scale_dn > 0:
-        series = pink_noise(analog.size, stream(_TAG_FLICKER))
+        # inf * noise raises no overflow flag, so check the sigma itself.
+        if not math.isfinite(reset_sigma):
+            raise ValueError(
+                f"reset_temp_k {temporal.reset_temp_k!r} and reset_cap_f "
+                f"{temporal.reset_cap_f!r} overflow float64 arithmetic: the reset "
+                f"noise sigma is {reset_sigma} DN"
+            )
+    flicker_on = temporal.flicker_enabled and temporal.flicker_scale_dn > 0
+
+    def draw_reset_and_flicker():
+        # Flicker first: its octave temporaries are gone before the
+        # reset normals are allocated.
+        series = pink_noise(analog.size, stream(_TAG_FLICKER)) if flicker_on else None
+        reset = stream(_TAG_RESET).standard_normal(shape) if reset_sigma is not None else None
+        return reset, series
+
+    shot = read = None
+    if temporal.shot_enabled and temporal.dark_signal_e > 0:
+        shot = (stream(_TAG_SHOT), temporal.dark_signal_e)
+    if temporal.read_noise_dn > 0:
+        read = (stream(_TAG_READ), temporal.read_noise_dn)
+    if reset_sigma is None and not flicker_on:
+        # No executor either: one made per frame, even idle, raised the
+        # peak RSS of a read-noise-only VGA sweep by about 5 MB.
+        _add_shot_and_read(analog.reshape(-1), shot, read)
+        reset = series = None
+    else:
+        # The helper is joined on leaving the block, also when the shot
+        # and read noise raise. No public function of this module is
+        # called here until then: bench/spans.py keeps one span stack for
+        # all threads, and this keeps the helper's pink_noise span under
+        # this function's.
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            lane = helper.submit(draw_reset_and_flicker)
+            _add_shot_and_read(analog.reshape(-1), shot, read)
+            reset, series = lane.result()
+    if reset is not None:
+        reset *= reset_sigma
+        analog += reset
+    if series is not None:
         series *= temporal.flicker_scale_dn
         analog += series.reshape(shape)
     if fpn.pixel_offset_dn is not None:

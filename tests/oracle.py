@@ -1,10 +1,17 @@
-"""Brute-force row noise: an independent cross-check of the fast metric.
+"""Slow, plain references that the fast paths are checked against.
 
-Plain nested loops, free of numpy and of any helper shared with
-rownoise.metric, so a fault in the vectorized path cannot hide in both.
+oracle_row_noise is brute-force row noise: plain nested loops, free of
+numpy and of any helper shared with rownoise.metric, so a fault in the
+vectorized path cannot hide in both. oracle_simulate_frame_analog draws
+each noise substream whole and adds the terms one at a time.
 """
 
 import math
+
+import numpy as np
+
+from rownoise import physics
+from rownoise.sensor import generate_fpn_maps, row_supply_offsets_dn
 
 
 def oracle_row_noise(frame) -> float:
@@ -25,3 +32,41 @@ def oracle_row_noise(frame) -> float:
             ss += (m - grand) ** 2
         channel_sigmas.append(math.sqrt(ss / (len(means) - 1)))
     return sum(channel_sigmas) / len(channel_sigmas)
+
+
+def oracle_simulate_frame_analog(scenario, frame_index):
+    """Same values as rownoise.sensor.simulate_frame_analog, on one
+    thread: every substream drawn whole, and the terms added one at a
+    time in the contract's summation order."""
+
+    def stream(tag):
+        ss = np.random.SeedSequence(scenario.seed, spawn_key=(frame_index, tag))
+        return np.random.Generator(np.random.Philox(ss))
+
+    def pink(n, rng):
+        total = np.zeros(n)
+        for k in range(16):
+            step = 1 << k
+            total += np.repeat(rng.standard_normal((n + step - 1) // step), step)[:n]
+        return total / math.sqrt(16)
+
+    sensor, temporal = scenario.sensor, scenario.temporal
+    fpn = generate_fpn_maps(scenario.seed, sensor, scenario.spatial)
+    shape = (sensor.channels, sensor.readout_rows, sensor.width)
+    analog = np.empty(shape)
+    analog[...] = (sensor.pedestal_dn + row_supply_offsets_dn(scenario, frame_index))[:, None]
+    if temporal.shot_enabled and temporal.dark_signal_e > 0:
+        analog += stream(2).poisson(temporal.dark_signal_e, shape)
+    if temporal.read_noise_dn > 0:
+        analog += stream(3).standard_normal(shape) * temporal.read_noise_dn
+    if temporal.reset_enabled and not temporal.cds_enabled:
+        sigma = physics.reset_noise_v(temporal.reset_temp_k, temporal.reset_cap_f)
+        analog += stream(4).standard_normal(shape) * (sigma * sensor.dn_per_volt)
+    if temporal.flicker_enabled and temporal.flicker_scale_dn > 0:
+        series = pink(analog.size, stream(5)) * temporal.flicker_scale_dn
+        analog += series.reshape(shape)
+    if fpn.pixel_offset_dn is not None:
+        analog += fpn.pixel_offset_dn
+    if fpn.column_offset_dn is not None:
+        analog += fpn.column_offset_dn[:, None, :]
+    return analog

@@ -15,6 +15,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import typing
 import warnings
@@ -177,6 +178,27 @@ class TestSimulate:
                      "--noise-amp", "1", "--frames", "1", "--out-dir", str(out)]) == 2
         assert "overflow" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_reset_noise_overflow_is_usage_error(self, tmp_path, capsys):
+        # The kTC sigma is inf; unchecked, the frame came out as random 0s
+        # and 255s with exit 0.
+        out = tmp_path / "d"
+        assert main(["simulate", "--width", "8", "--active-rows", "8", "--frames", "1",
+                     "--reset", "--reset-temp", "1e308", "--reset-cap", "1e-308",
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "reset_temp_k 1e+308 and reset_cap_f 1e-308 overflow float64" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_failing_frame_with_helper_lane_leaves_nothing(self, tmp_path, capsys):
+        # Flicker is drawn on a helper thread while the read noise overflows.
+        before = threading.active_count()
+        assert main(["simulate", "--width", "16", "--active-rows", "8", "--frames", "2",
+                     "--flicker", "--flicker-scale", "1", "--read-noise", "1e308",
+                     "--out-dir", str(tmp_path / "d")]) == 2
+        assert "overflow" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # no .simulate-* staging directory, no out-dir
+        assert threading.active_count() == before
 
     def test_out_of_memory_is_a_clean_exit_1(self, tmp_path):
         # The frame's float64 buffer is 74.5 GiB. In a child whose address

@@ -1,12 +1,15 @@
 """Simulator behavior: supply coupling, timing, noise sources, determinism."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from oracle import oracle_simulate_frame_analog
 from rownoise.physics import reset_noise_v
 from rownoise.sensor import (
+    _CHUNK,
     Frame,
     PhaseMode,
     SensorConfig,
@@ -201,9 +204,16 @@ class TestSupplyCoupling:
             {"supply": SupplyNoiseConfig(frequency_hz=1e308, amplitude_vpp=1.0)},
             {"supply": SupplyNoiseConfig(frequency_hz=4117.0, amplitude_vpp=1e308)},
             {"temporal": TemporalNoiseConfig(read_noise_dn=1e308)},
+            # The kTC sigma itself is inf, and inf * noise sets no flag.
+            {"temporal": TemporalNoiseConfig(
+                reset_enabled=True, reset_temp_k=1e308, reset_cap_f=1e-308)},
+            # Scaled on the calling thread: a helper thread would not
+            # inherit the overflow check.
+            {"temporal": TemporalNoiseConfig(flicker_enabled=True, flicker_scale_dn=1e308)},
             {"spatial": SpatialNoiseConfig(column_fpn_dn=1e308)},
         ],
-        ids=["supply_phase", "supply_amplitude", "read_noise", "column_fpn"],
+        ids=["supply_phase", "supply_amplitude", "read_noise", "reset", "flicker_scale",
+             "column_fpn"],
     )
     def test_values_that_overflow_together_are_rejected(self, parts):
         # Each value is finite, so the config takes it; the arithmetic
@@ -388,6 +398,73 @@ class TestTemporalNoise:
     def test_pink_noise_validation(self):
         with pytest.raises(ValueError):
             pink_noise(0, np.random.default_rng(0))
+
+
+class TestNoiseLanes:
+    """Shot and read noise stream in pieces of _CHUNK elements on the
+    calling thread; reset and flicker are drawn on a helper thread. The
+    analog bytes must equal whole-substream draws summed in order."""
+
+    @pytest.mark.parametrize(
+        "temporal",
+        [
+            TemporalNoiseConfig(
+                shot_enabled=True, dark_signal_e=4.0, read_noise_dn=2.0, reset_enabled=True,
+                flicker_enabled=True, flicker_scale_dn=0.5,
+            ),
+            TemporalNoiseConfig(reset_enabled=True),
+            TemporalNoiseConfig(flicker_enabled=True, flicker_scale_dn=1.5),
+            TemporalNoiseConfig(shot_enabled=True, dark_signal_e=4.0, read_noise_dn=2.0),
+        ],
+        ids=["all", "reset", "flicker", "shot_read"],
+    )
+    @pytest.mark.parametrize(
+        "channels, width, active_rows",
+        [(1, 333, 401), (3, 257, 171), (1, 7, 7), (3, 7, 7)],
+    )
+    def test_lanes_match_whole_draws(self, temporal, channels, width, active_rows):
+        sensor = SensorConfig(
+            width=width, active_rows=active_rows, optical_black_rows=2, channels=channels
+        )
+        size = channels * sensor.readout_rows * width
+        # Either more than two pieces with a short last one, or one short piece.
+        assert (size > 2 * _CHUNK and size % _CHUNK) or size < _CHUNK
+        sc = SimScenario(
+            sensor=sensor,
+            supply=SupplyNoiseConfig(
+                frequency_hz=4117.0, amplitude_vpp=0.5, phase_mode=PhaseMode.RANDOM_PER_FRAME
+            ),
+            temporal=temporal,
+            spatial=SpatialNoiseConfig(dsnu_dn=0.5, column_fpn_dn=0.3),
+            seed=58,
+        )
+        for frame_index in (0, 2):
+            got = simulate_frame_analog(sc, frame_index)
+            assert got.tobytes() == oracle_simulate_frame_analog(sc, frame_index).tobytes()
+
+    @pytest.mark.parametrize(
+        "temporal",
+        [
+            # Raises on the calling thread while the helper draws.
+            TemporalNoiseConfig(read_noise_dn=1e308, flicker_enabled=True, flicker_scale_dn=1.0),
+            # Raises after the helper has returned its draws.
+            TemporalNoiseConfig(reset_enabled=True, flicker_enabled=True, flicker_scale_dn=1e308),
+        ],
+        ids=["during_helper", "after_helper"],
+    )
+    def test_failing_frame_leaves_no_thread(self, temporal):
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="overflow float64"):
+            simulate_frame_analog(SimScenario(sensor=SMALL, temporal=temporal), 0)
+        assert threading.active_count() == before
+
+    def test_no_helper_without_reset_or_flicker(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("helper executor made")
+
+        monkeypatch.setattr("rownoise.sensor.ThreadPoolExecutor", fail)
+        temporal = TemporalNoiseConfig(shot_enabled=True, dark_signal_e=4.0, read_noise_dn=2.0)
+        simulate_frame_analog(SimScenario(sensor=SMALL, temporal=temporal), 0)
 
 
 class TestFixedPattern:
