@@ -20,7 +20,6 @@ import math
 import shutil
 import sys
 import tempfile
-from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -117,6 +116,29 @@ def _write_sidecar(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _write_frames(out_dir: Path, named_frames, sidecar: dict) -> list[str]:
+    """Write each (name, frame) pair as it comes into a staging directory
+    on out_dir's file system, then rename them all into out_dir and write
+    the sidecar config.json: a frame that fails or a name given twice
+    leaves no file or directory behind. Returns the names in order."""
+    anchor = next(p for p in (out_dir, *out_dir.parents) if p.is_dir())
+    staging = Path(tempfile.mkdtemp(prefix=".rownoise-", dir=anchor))
+    names: list[str] = []
+    try:
+        for name, frame in named_frames:
+            if (staging / name).exists():
+                raise UsageError(f"inputs would overwrite each other in {out_dir}: {name}")
+            imageio.write_image(frame, staging / name)
+            names.append(name)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name in names:
+            (staging / name).replace(out_dir / name)
+    finally:
+        shutil.rmtree(staging)
+    _write_sidecar(out_dir / "config.json", sidecar)
+    return names
+
+
 def _expand_inputs(paths: list[str]) -> list[Path]:
     """Files stay; directories contribute their im* images in name order."""
     out: list[Path] = []
@@ -153,39 +175,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     ext = imageio.image_suffix(scenario.sensor.channels)
     # The im* names that analyze, mitigate and sweep read.
-    names = [f"im{i}{ext}" for i in range(1, n + 1)]
-    # Each frame is written as it is made, into a staging directory on
-    # out_dir's file system, and takes its name once every frame is made:
-    # a frame that fails leaves no file or directory behind.
-    anchor = next(p for p in (out_dir, *out_dir.parents) if p.is_dir())
-    staging = Path(tempfile.mkdtemp(prefix=".simulate-", dir=anchor))
-    try:
-        for name, frame in zip(names, iter_stack(scenario, n)):
-            imageio.write_image(frame, staging / name)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name in names:
-            (staging / name).replace(out_dir / name)
-    finally:
-        shutil.rmtree(staging)
-    _write_sidecar(
-        out_dir / "config.json",
-        {
-            "command": "simulate",
-            "frames": n,
-            "out_dir": str(out_dir),
-            "scenario": json.loads(scenario_to_json(scenario)),
-        },
-    )
+    frames = ((f"im{i}{ext}", f) for i, f in enumerate(iter_stack(scenario, n), 1))
+    sidecar = {"command": "simulate", "frames": n, "out_dir": str(out_dir),
+               "scenario": json.loads(scenario_to_json(scenario))}
+    names = _write_frames(out_dir, frames, sidecar)
     print(f"wrote {', '.join(names)} and config.json to {out_dir}")
     return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     paths = _expand_inputs(args.inputs)
-    frames = imageio.read_stack(paths)
-    if frames[0].rows < 2:
-        raise RuntimeError(f"{paths[0]}: row noise needs at least 2 rows, got {frames[0].rows}")
-    result = row_noise(frames)
+
+    def frames():
+        for p, frame in zip(paths, imageio.read_stack(paths)):
+            if frame.rows < 2:
+                raise RuntimeError(f"{p}: row noise needs at least 2 rows, got {frame.rows}")
+            yield frame
+
+    result = row_noise(frames())
     if args.per_frame:
         for p, v in zip(paths, result.per_frame):
             print(f"{p.name}\t{v:.4f}")
@@ -296,37 +303,24 @@ def cmd_mitigate(args: argparse.Namespace) -> int:
     if args.out_dir is None:
         raise UsageError(f"--method {args.method} requires --out-dir")
     paths = _expand_inputs(args.inputs)
-    frames = imageio.read_stack(paths)
     out_dir = Path(args.out_dir)
-    # Same name as the input, in a format write_image takes (BMP in, PPM out).
-    names = [p.stem + imageio.image_suffix(f.channels) for p, f in zip(paths, frames)]
-    clashes = sorted(name for name, count in Counter(names).items() if count > 1)
-    if clashes:
-        raise UsageError(f"inputs would overwrite each other in {out_dir}: {', '.join(clashes)}")
-    for name, frame in zip(names, frames):
-        if args.method == "dark-ref":
-            fixed = mitigation.dark_reference_correct(
-                frame, args.dark_cols, pedestal_dn=args.pedestal
-            )
-        else:
-            fixed = mitigation.lowpass_offset_suppress(frame, args.kernel_rows)
-        # Made once a frame is corrected: a parameter that fits no input
-        # fails on the first frame and leaves no directory behind.
-        out_dir.mkdir(parents=True, exist_ok=True)
-        imageio.write_image(fixed, out_dir / name)
-    _write_sidecar(
-        out_dir / "config.json",
-        {
-            "command": "mitigate",
-            "method": args.method,
-            "dark_cols": args.dark_cols,
-            "pedestal": args.pedestal,
-            "kernel_rows": args.kernel_rows,
-            "inputs": [str(p) for p in paths],
-            "out_dir": str(out_dir),
-        },
-    )
-    print(f"wrote {len(frames)} corrected frames to {out_dir}")
+
+    def corrected():
+        for p, frame in zip(paths, imageio.read_stack(paths)):
+            if args.method == "dark-ref":
+                fixed = mitigation.dark_reference_correct(
+                    frame, args.dark_cols, pedestal_dn=args.pedestal
+                )
+            else:
+                fixed = mitigation.lowpass_offset_suppress(frame, args.kernel_rows)
+            # Same name as the input, in a format write_image takes (BMP in, PPM out).
+            yield p.stem + imageio.image_suffix(fixed.channels), fixed
+
+    sidecar = {"command": "mitigate", "method": args.method, "dark_cols": args.dark_cols,
+               "pedestal": args.pedestal, "kernel_rows": args.kernel_rows,
+               "inputs": [str(p) for p in paths], "out_dir": str(out_dir)}
+    names = _write_frames(out_dir, corrected(), sidecar)
+    print(f"wrote {len(names)} corrected frames to {out_dir}")
     return 0
 
 

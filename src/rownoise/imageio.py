@@ -12,6 +12,7 @@ top-down (channels, rows, width) uint8.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -73,19 +74,20 @@ def read_image(path: str | Path) -> Frame:
     raise ImageParseError(f"{path}: unknown magic {data[:2]!r}")
 
 
-def read_stack(paths) -> list[Frame]:
-    """Load images that must share one geometry; a mismatch names the file."""
-    paths = list(paths)
-    frames: list[Frame] = []
+def read_stack(paths) -> Iterator[Frame]:
+    """Load images one at a time, as they are asked for. They must share
+    the first one's geometry; a mismatch names the file when it is reached."""
+    first = None
     for p in paths:
         frame = read_image(p)
-        if frames and frame.pixels.shape != frames[0].pixels.shape:
-            (c, r, w), (c0, r0, w0) = frame.pixels.shape, frames[0].pixels.shape
+        if first is None:
+            first = p, frame.pixels.shape
+        elif frame.pixels.shape != first[1]:
+            (c, r, w), (c0, r0, w0) = frame.pixels.shape, first[1]
             raise ImageParseError(
-                f"{p}: dimensions {w}x{r}x{c} do not match {paths[0]} ({w0}x{r0}x{c0})"
+                f"{p}: dimensions {w}x{r}x{c} do not match {first[0]} ({w0}x{r0}x{c0})"
             )
-        frames.append(frame)
-    return frames
+        yield frame
 
 
 def _read_pnm(data: bytes, path: Path) -> Frame:

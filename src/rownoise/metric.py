@@ -16,6 +16,7 @@ so the two can check each other.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,14 @@ def row_noise_single(frame: Frame) -> float:
     return float(np.std(row_means(frame), axis=1, ddof=1).mean())
 
 
-def row_noise(frames: list[Frame]) -> RowNoiseResult:
+def row_noise(frames: Iterable[Frame]) -> RowNoiseResult:
     """Stack row noise: per-frame values and their average. Each frame is
-    measured on its own, so the frames need not share a geometry."""
-    if not frames:
-        raise ValueError("stack needs at least one frame")
+    measured on its own as the iterable gives it, so the frames need not
+    share a geometry and a lazy source such as imageio.read_stack is never
+    held whole."""
     per_frame = [row_noise_single(f) for f in frames]
+    if not per_frame:
+        raise ValueError("stack needs at least one frame")
     return RowNoiseResult(per_frame=per_frame, average=sum(per_frame) / len(per_frame))
 
 

@@ -49,7 +49,9 @@ def reset_noise_v(temp_k: float, cap_f: float) -> float:
     """kTC reset noise, volts RMS on a capacitance cap_f at temp_k."""
     _require(temp_k > 0, f"temperature must be positive, got {temp_k}")
     _require(cap_f > 0, f"capacitance must be positive, got {cap_f}")
-    return math.sqrt(BOLTZMANN_K * temp_k / cap_f)
+    sigma = math.sqrt(BOLTZMANN_K * temp_k / cap_f)
+    _require(sigma < math.inf, f"temperature {temp_k} K and capacitance {cap_f} F overflow float64")
+    return sigma
 
 
 def line_frequency(fps: float, frame_length_rows: int) -> float:

@@ -82,6 +82,8 @@ __all__ = [
 MAX_DN = 255  # 8-bit output range
 PINK_OCTAVES = 16  # octaves summed by pink_noise
 _CHUNK = 1 << 16  # elements per piece of the shot and read noise draws
+# Largest mean numpy's Poisson draw takes: the int64 maximum less ten of its roots.
+MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 # Substream tags. Values are part of the reproducibility contract:
 # changing them changes every simulated frame.
@@ -218,8 +220,9 @@ class TemporalNoiseConfig:
 
     def __post_init__(self) -> None:
         _check_field_types(self)
-        if self.dark_signal_e < 0:
-            raise ValueError(f"dark_signal_e must be >= 0, got {self.dark_signal_e}")
+        if not 0 <= self.dark_signal_e <= MAX_POISSON_MEAN:
+            raise ValueError(f"dark_signal_e must be in [0, {MAX_POISSON_MEAN}], "
+                             f"got {self.dark_signal_e}")
         if self.read_noise_dn < 0:
             raise ValueError(f"read_noise_dn must be >= 0, got {self.read_noise_dn}")
         if self.flicker_scale_dn < 0:
@@ -450,17 +453,10 @@ def simulate_frame_analog(
 
     reset_sigma = None
     if temporal.reset_enabled and not temporal.cds_enabled:
-        reset_sigma = (
-            physics.reset_noise_v(temporal.reset_temp_k, temporal.reset_cap_f)
-            * sensor.dn_per_volt
-        )
-        # inf * noise raises no overflow flag, so check the sigma itself.
-        if not math.isfinite(reset_sigma):
-            raise ValueError(
-                f"reset_temp_k {temporal.reset_temp_k!r} and reset_cap_f "
-                f"{temporal.reset_cap_f!r} overflow float64 arithmetic: the reset "
-                f"noise sigma is {reset_sigma} DN"
-            )
+        # A numpy product, so an overflow to inf raises here: inf * noise
+        # would raise no overflow flag later.
+        volts = np.float64(physics.reset_noise_v(temporal.reset_temp_k, temporal.reset_cap_f))
+        reset_sigma = volts * sensor.dn_per_volt
     flicker_on = temporal.flicker_enabled and temporal.flicker_scale_dn > 0
 
     def draw_reset_and_flicker():

@@ -7,8 +7,8 @@ noise starts, where it peaks and which frequency ranges are of concern.
 Points come either from the built-in simulator or from an external
 capture command (a bench supply or signal generator wrapper) that drops
 image files into a directory. A sweep is its list of (frequency, row
-noise) points in ascending frequency. Simulated steps are independent
-and run on a pool of worker threads; results are assembled by step
+noise) points in ascending frequency. Simulated steps are independent;
+with more than one worker they run on a thread pool. Results go by step
 index, so the output is bit-identical for any worker count.
 """
 
@@ -19,6 +19,7 @@ import math
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -176,10 +177,12 @@ def run_sweep(config: SweepConfig) -> list[tuple[float, float]]:
                 raise CaptureError(str(exc), points) from exc
         return points
 
+    args = (partial(_measure_simulated, config), range(len(freqs)), freqs)
+    if config.workers == 1:  # a pool thread's malloc arena would keep the freed frames
+        return list(zip(freqs, map(*args)))
     pool = ThreadPoolExecutor(max_workers=config.workers)
     try:
-        return list(zip(freqs, pool.map(lambda args: _measure_simulated(config, *args),
-                                        enumerate(freqs))))
+        return list(zip(freqs, pool.map(*args)))
     finally:
         # A failed point or an interrupt skips the points not yet started.
         pool.shutdown(cancel_futures=True)

@@ -56,6 +56,26 @@ def write_bmp(path, rgb):
     path.write_bytes(header + info + payload)
 
 
+def write_noise_stack(directory, frames, width, rows):
+    """frames PGMs of uniform noise, im1.pgm on, in a new directory."""
+    directory.mkdir()
+    rng = np.random.default_rng(frames)
+    for i in range(1, frames + 1):
+        pixels = rng.integers(0, 256, (1, rows, width), dtype=np.uint8)
+        write_image(Frame(pixels=pixels), directory / f"im{i}.pgm")
+    return directory
+
+
+def traced_peak(argv) -> int:
+    """Peak bytes tracemalloc sees while main(argv) runs to exit 0."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSimulate:
     def test_writes_numbered_frames_and_sidecar(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -143,14 +163,9 @@ class TestSimulate:
         width, rows = 128, 96
 
         def peak(frames: int) -> int:
-            tracemalloc.start()
-            try:
-                assert main(["simulate", "--width", str(width), "--active-rows", str(rows),
-                             "--read-noise", "2", "--frames", str(frames),
-                             "--out-dir", str(tmp_path / str(frames))]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(["simulate", "--width", str(width), "--active-rows", str(rows),
+                                "--read-noise", "2", "--frames", str(frames),
+                                "--out-dir", str(tmp_path / str(frames))])
 
         peak(1)  # imports and caches
         assert peak(8) - peak(2) < width * rows
@@ -187,8 +202,16 @@ class TestSimulate:
                      "--reset", "--reset-temp", "1e308", "--reset-cap", "1e-308",
                      "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "reset_temp_k 1e+308 and reset_cap_f 1e-308 overflow float64" in err
+        assert "temperature 1e+308 K and capacitance 1e-308 F overflow float64" in err
         assert not list(tmp_path.iterdir())
+
+    def test_dark_signal_past_the_poisson_limit_is_usage_error(self, tmp_path, capsys):
+        # numpy's Poisson draw would reject the mean, naming no field.
+        assert main(["simulate", "--width", "8", "--active-rows", "8", "--frames", "1",
+                     "--shot", "--dark-signal-e", "1e308", "--out-dir", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dark_signal_e must be in [0, ") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())  # no staging directory, no out-dir
 
     def test_failing_frame_with_helper_lane_leaves_nothing(self, tmp_path, capsys):
         # Flicker is drawn on a helper thread while the read noise overflows.
@@ -197,7 +220,7 @@ class TestSimulate:
                      "--flicker", "--flicker-scale", "1", "--read-noise", "1e308",
                      "--out-dir", str(tmp_path / "d")]) == 2
         assert "overflow" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())  # no .simulate-* staging directory, no out-dir
+        assert not list(tmp_path.iterdir())  # no .rownoise-* staging directory, no out-dir
         assert threading.active_count() == before
 
     def test_out_of_memory_is_a_clean_exit_1(self, tmp_path):
@@ -319,6 +342,18 @@ class TestAnalyze:
 
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.pgm")]) == 1
+
+    def test_peak_memory_does_not_grow_with_frames(self, tmp_path, capsys):
+        # Frames are read and measured one at a time, so eight frames peak
+        # no higher than two by as much as one frame.
+        width, rows = 128, 96
+
+        def peak(frames: int) -> int:
+            images = write_noise_stack(tmp_path / str(frames), frames, width, rows)
+            return traced_peak(["analyze", str(images)])
+
+        peak(1)  # imports and caches
+        assert peak(8) - peak(2) < width * rows
 
     def test_one_row_image_is_runtime_error(self, tmp_path, capsys):
         write_pgm(tmp_path / "im1.pgm", [50])
@@ -934,6 +969,45 @@ class TestMitigateCli:
                      str(a / "im1.pgm"), str(b / "im1.pgm")]) == 2
         assert "im1.pgm" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["lowpass", "dark-ref"])
+    def test_peak_memory_does_not_grow_with_frames(self, tmp_path, capsys, method):
+        # Each frame is read, corrected and written before the next is
+        # read, so eight frames peak no higher than two by as much as one.
+        width, rows = 128, 96
+
+        def peak(frames: int) -> int:
+            images = write_noise_stack(tmp_path / str(frames), frames, width, rows)
+            return traced_peak(["mitigate", "--method", method,
+                                "--out-dir", str(tmp_path / f"fixed{frames}"), str(images)])
+
+        peak(1)  # imports and caches
+        assert peak(8) - peak(2) < width * rows
+
+    def test_mismatched_last_input_writes_nothing(self, tmp_path, capsys):
+        src = self.banded_dir(tmp_path)
+        odd = tmp_path / "im3.pgm"
+        write_image(Frame(pixels=np.zeros((1, 8, 16), dtype=np.uint8)), odd)
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "im1.pgm").write_bytes(b"an earlier run")
+        for out in (tmp_path / "new", kept):
+            capsys.readouterr()
+            assert main(["mitigate", "--method", "lowpass", "--out-dir", str(out),
+                         str(src), str(odd)]) == 1
+            assert "im3.pgm: dimensions 16x8x1 do not match" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["banded", "im3.pgm", "kept"]
+        assert [p.name for p in kept.iterdir()] == ["im1.pgm"]
+        assert (kept / "im1.pgm").read_bytes() == b"an earlier run"
+
+    def test_out_dir_may_be_the_input_directory(self, tmp_path, capsys):
+        src = self.banded_dir(tmp_path)
+        fresh = tmp_path / "fresh"
+        for out in (fresh, src):
+            assert main(["mitigate", "--method", "lowpass", "--out-dir", str(out), str(src)]) == 0
+        for name in ("im1.pgm", "im2.pgm"):
+            assert (src / name).read_bytes() == (fresh / name).read_bytes()
+        assert sorted(p.name for p in src.iterdir()) == ["config.json", "im1.pgm", "im2.pgm"]
 
     def test_tune_prints_recommendation(self, capsys):
         assert main(["mitigate", "--method", "tune", "--noise-freq", "24000",

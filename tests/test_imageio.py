@@ -205,19 +205,19 @@ class TestReadStack:
             p = tmp_path / f"im{i + 1}.pgm"
             write_image(frame, p)
             paths.append(p)
-        stack = read_stack(paths)
+        stack = list(read_stack(paths))
         assert len(stack) == 3
         assert stack[1].pixels[0, 0, 0] == 10
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            read_stack([tmp_path / "nope.pgm"])
+            list(read_stack([tmp_path / "nope.pgm"]))
 
     def test_mismatched_geometry_names_the_file(self, make_frame, tmp_path):
         write_image(make_frame(np.zeros((1, 2, 2), dtype=np.uint8)), tmp_path / "im1.pgm")
         write_image(make_frame(np.zeros((1, 3, 2), dtype=np.uint8)), tmp_path / "im2.pgm")
         with pytest.raises(ImageParseError, match="im2.pgm: dimensions 2x3x1"):
-            read_stack([tmp_path / "im1.pgm", tmp_path / "im2.pgm"])
+            list(read_stack([tmp_path / "im1.pgm", tmp_path / "im2.pgm"]))
 
 
 def mostly(valid, other):

@@ -48,6 +48,12 @@ class TestResetNoise:
         with pytest.raises(ValueError):
             reset_noise_v(temp, cap)
 
+    def test_overflow_names_both_inputs(self):
+        # Each input is finite; k T / C is not.
+        with pytest.raises(ValueError, match=r"temperature 1e\+308 K and capacitance 1e-308 F "
+                                             "overflow float64"):
+            reset_noise_v(1e308, 1e-308)
+
     @given(
         st.floats(min_value=1.0, max_value=2000.0),
         st.floats(min_value=1e-16, max_value=1e-9),

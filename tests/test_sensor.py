@@ -10,6 +10,7 @@ from oracle import oracle_simulate_frame_analog
 from rownoise.physics import reset_noise_v
 from rownoise.sensor import (
     _CHUNK,
+    MAX_POISSON_MEAN,
     Frame,
     PhaseMode,
     SensorConfig,
@@ -116,6 +117,17 @@ class TestConfigs:
         with pytest.raises(ValueError):
             TemporalNoiseConfig(**kwargs)
 
+    def test_dark_signal_is_capped_at_numpys_poisson_limit(self):
+        # The cap is the largest mean numpy draws from: the frame saturates.
+        temporal = TemporalNoiseConfig(shot_enabled=True, dark_signal_e=MAX_POISSON_MEAN)
+        frame = simulate_frame(SimScenario(sensor=SMALL, temporal=temporal), 0)
+        assert np.all(frame.pixels == 255)
+        above = float(np.nextafter(MAX_POISSON_MEAN, math.inf))
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(above)
+        with pytest.raises(ValueError, match=r"dark_signal_e must be in \[0, 9\.2"):
+            TemporalNoiseConfig(dark_signal_e=above)
+
     @pytest.mark.parametrize("kwargs", [{"dsnu_dn": -1.0}, {"column_fpn_dn": -1.0}])
     def test_spatial_validation(self, kwargs):
         with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be >= 0"):
@@ -220,6 +232,13 @@ class TestSupplyCoupling:
         # overflows, which is a ValueError and not a RuntimeWarning and NaN.
         with pytest.raises(ValueError, match="overflow float64"):
             simulate_stack(SimScenario(sensor=SMALL, **parts), 2)
+
+    def test_reset_sigma_that_overflows_in_dn_is_rejected(self):
+        # The kTC sigma is finite in volts and inf in DN.
+        sensor = SensorConfig(width=16, active_rows=4, dn_per_volt=1e200)
+        temporal = TemporalNoiseConfig(reset_enabled=True, reset_temp_k=1e200, reset_cap_f=1e-100)
+        with pytest.raises(ValueError, match="overflow float64"):
+            simulate_frame(SimScenario(sensor=sensor, temporal=temporal), 0)
 
     def test_quiet_supply_gives_exact_pedestal(self):
         sc = SimScenario(sensor=SMALL)

@@ -155,6 +155,17 @@ class TestRunSweep:
         serial = run_sweep(SweepConfig(**base, workers=1))
         assert run_sweep(SweepConfig(**base, workers=4)) == serial
 
+    def test_one_worker_runs_on_the_calling_thread(self, monkeypatch):
+        cfg = SweepConfig(start_hz=3550.0, end_hz=5550.0, step_hz=1000.0, frames_per_step=1,
+                          source=SimulateSource(scenario=quiet_scenario()), workers=2)
+        pooled = run_sweep(cfg)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a one-worker sweep started a thread pool")
+
+        monkeypatch.setattr(sweep, "ThreadPoolExecutor", fail)
+        assert run_sweep(replace(cfg, workers=1)) == pooled
+
     def test_failed_point_skips_the_points_not_yet_started(self, monkeypatch):
         measured = []
 
