@@ -266,15 +266,17 @@ def recommend_tuning(
             f"{len(fps_grid)} fps points x {n_lengths} frame lengths are {n_candidates} "
             f"tune candidates, more than the cap of {MAX_TUNE_CANDIDATES}"
         )
-    # min picks the lowest signed alias, then the lowest fps and frame length.
-    sign = 1.0 if TuningMode(mode) is TuningMode.SYNC else -1.0
+    lengths = range(fl_lo, fl_hi + 1)
+    if TuningMode(mode) is TuningMode.SYNC:
+        # min picks the lowest alias, then the lowest fps and frame length.
+        def best_fps(frame_length: int) -> tuple[float, float, int]:
+            aliases = physics.fold_frequency(f_noise_hz, fps_grid * frame_length)
+            idx = int(np.argmin(aliases))
+            return float(aliases[idx]), float(fps_grid[idx]), frame_length
 
-    def best_fps(frame_length: int) -> tuple[float, float, int]:
-        score = sign * physics.fold_frequency(f_noise_hz, fps_grid * frame_length)
-        idx = int(np.argmin(score))
-        return float(score[idx]), float(fps_grid[idx]), frame_length
-
-    _, fps, frame_length = min(best_fps(fl) for fl in range(fl_lo, fl_hi + 1))
+        _, fps, frame_length = min(best_fps(fl) for fl in lengths)
+    else:
+        fps, frame_length = _max_separation(f_noise_hz, fps_grid, lengths)
     f_line = physics.line_frequency(fps, frame_length)
     band = physics.alias_and_band_height(f_noise_hz, f_line)
     return TuningRecommendation(
@@ -283,6 +285,28 @@ def recommend_tuning(
         resulting_alias_hz=band.alias_hz,
         predicted_band_height_rows=band.band_height_rows,
     )
+
+
+def _max_separation(f_noise_hz: float, fps_grid: np.ndarray, lengths: range) -> tuple[float, int]:
+    """The (fps, frame length) of the grid whose alias is largest, ties to
+    the lower fps, then the lower frame length.
+
+    A fold never exceeds half its line rate, and for fps_grid * L below
+    twice the best alias so far that half is strictly below it. Walking
+    the lengths from the longest, which raise the best alias soonest,
+    each length folds only the ascending grid's line rates from the
+    first that reaches twice the best. Every candidate skipped is
+    strictly worse, so the answer is the exhaustive search's."""
+    best = (0.0, math.inf, 0)  # (-alias, fps, frame length): min is the answer
+    for frame_length in reversed(lengths):
+        lines = fps_grid * frame_length
+        first = int(np.searchsorted(lines, -2.0 * best[0]))
+        if first == len(lines):
+            continue
+        aliases = physics.fold_frequency(f_noise_hz, lines[first:])
+        idx = int(np.argmax(aliases))
+        best = min(best, (-float(aliases[idx]), float(fps_grid[first + idx]), frame_length))
+    return best[1], best[2]
 
 
 def predict_filter_effect(freq_hz: float, cutoff_hz: float) -> float:

@@ -26,9 +26,12 @@ modelled; SpatialNoiseConfig accepts only prnu_fraction 0.
 Determinism: every stochastic term draws from its own Philox substream
 keyed by (seed, frame_index, source tag), filled row-major. A substream
 may be drawn in consecutive pieces, which gives the same values as one
-draw. Reset and flicker noise are drawn on one helper thread while shot
-and read noise stream into the frame, and the terms are still summed in
-one fixed order. Frames can therefore be generated in any order, on any
+draw, and every frame sums its terms per pixel in one fixed order. So a
+frame comes out bit-identical whichever way it is made: a stack makes
+its frames in pairs, each whole on one thread, the helper thread's
+frame beside the calling thread's, and a frame without a partner draws
+reset and flicker noise on a helper thread while shot and read noise
+stream in. Frames can therefore be generated in any order, on any
 worker count, and come out bit-identical. Fixed-pattern maps are keyed
 by seed alone so they stay frozen across a stack. A source whose sigma
 or switch is off draws nothing and adds nothing, which leaves the other
@@ -326,6 +329,11 @@ def pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
+    return _pink_noise(n, rng)
+
+
+def _pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
+    # pink_noise's body, which the frame makers call on any thread.
     total = np.empty(n, dtype=np.float64)
     rng.standard_normal(out=total)  # octave 0: one draw per output
     for k in range(1, PINK_OCTAVES):
@@ -342,12 +350,15 @@ def pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     return total
 
 
-def _quantize_in_place(analog: np.ndarray) -> np.ndarray:
+def _round_and_clip(analog: np.ndarray) -> np.ndarray:
     # clip(floor(x + 0.5), 0, MAX_DN) computed as a truncating cast of
     # clip(x + 0.5, 0, MAX_DN): on [0, MAX_DN] truncation is floor.
     analog += 0.5
-    np.clip(analog, 0, MAX_DN, out=analog)
-    return analog.astype(np.uint8)
+    return np.clip(analog, 0, MAX_DN, out=analog)
+
+
+def _quantize_in_place(analog: np.ndarray) -> np.ndarray:
+    return _round_and_clip(analog).astype(np.uint8)
 
 
 def quantize_dn(analog: np.ndarray) -> np.ndarray:
@@ -386,6 +397,7 @@ def generate_fpn_maps(seed: int, sensor: SensorConfig, spatial: SpatialNoiseConf
     return FpnMaps(pixel_offset_dn=pixel, column_offset_dn=column)
 
 
+@_finite_arithmetic()
 def row_supply_offsets_dn(scenario: SimScenario, frame_index: int) -> np.ndarray:
     """Per-row DN offset injected by the supply disturbance, pre-quantization:
     the RC-filtered rail sinusoid, peak amplitude_vpp / 2, sampled at each
@@ -408,21 +420,62 @@ def row_supply_offsets_dn(scenario: SimScenario, frame_index: int) -> np.ndarray
     return supply.coupling_gain * sensor.dn_per_volt * volts
 
 
-def _add_shot_and_read(flat: np.ndarray, shot, read) -> None:
-    """Add shot and read noise to flat in pieces of _CHUNK elements. shot
-    is (generator, mean electrons) and read is (generator, sigma DN),
-    either None when off. Each piece continues its generator's draws, so
-    the values are those of one whole-frame draw."""
-    buf = np.empty(min(flat.size, _CHUNK), dtype=np.float64) if read else None
-    for start in range(0, flat.size, _CHUNK):
-        piece = flat[start : start + _CHUNK]
-        m = piece.size
-        if shot:
-            piece += shot[0].poisson(shot[1], m)  # 1 DN per e-
-        if read:
-            noise = buf[:m]
-            read[0].standard_normal(out=noise)
-            noise *= read[1]
+def _pieces(shape: tuple[int, int, int]) -> Iterator[tuple[int, slice, slice]]:
+    """Index (channel, rows, columns) of each piece of a (channels, rows,
+    width) frame, in row-major order: whole rows, as many as fit in
+    _CHUNK elements, or pieces of _CHUNK columns of a longer row. No
+    piece spans two channels."""
+    channels, rows, width = shape
+    step = max(1, _CHUNK // width)
+    for c in range(channels):
+        for r in range(0, rows, step):
+            row_slice = slice(r, min(r + step, rows))
+            for x in range(0, width, _CHUNK):
+                yield c, row_slice, slice(x, min(x + _CHUNK, width))
+
+
+def _piece_buffer(shape: tuple[int, int, int]) -> np.ndarray:
+    """A float64 buffer as large as the largest of _pieces(shape)."""
+    _, rows, width = shape
+    return np.empty(min(rows, max(1, _CHUNK // width)) * min(width, _CHUNK), dtype=np.float64)
+
+
+def _noise_terms(scenario: SimScenario, frame_index: int):
+    """The temporal sources of one frame that are on, each None when off:
+    shot is (generator, mean electrons), read and reset are (generator,
+    sigma DN) and flicker is (generator, scale DN)."""
+    temporal = scenario.temporal
+
+    def stream(tag: int) -> np.random.Generator:
+        return _stream(scenario.seed, frame_index, tag)
+
+    shot = read = reset = flicker = None
+    if temporal.shot_enabled and temporal.dark_signal_e > 0:
+        shot = (stream(_TAG_SHOT), temporal.dark_signal_e)
+    if temporal.read_noise_dn > 0:
+        read = (stream(_TAG_READ), temporal.read_noise_dn)
+    if temporal.reset_enabled and not temporal.cds_enabled:
+        # A numpy product, so an overflow to inf raises under
+        # _finite_arithmetic: inf * noise would raise no overflow flag later.
+        volts = np.float64(physics.reset_noise_v(temporal.reset_temp_k, temporal.reset_cap_f))
+        reset = (stream(_TAG_RESET), volts * scenario.sensor.dn_per_volt)
+    if temporal.flicker_enabled and temporal.flicker_scale_dn > 0:
+        flicker = (stream(_TAG_FLICKER), temporal.flicker_scale_dn)
+    return shot, read, reset, flicker
+
+
+def _add_draws(piece: np.ndarray, buf: np.ndarray | None, shot, normals) -> None:
+    """Add to piece a Poisson draw of shot (1 DN per e-), unless it is
+    None, then each (generator, sigma) of normals as a scaled normal draw
+    through buf. Each call continues its generators' draws, so pieces
+    taken in order get the values of one whole-frame draw."""
+    if shot:
+        piece += shot[0].poisson(shot[1], piece.shape)
+    if normals:
+        noise = buf[: piece.size].reshape(piece.shape)
+        for rng, sigma in normals:
+            rng.standard_normal(out=noise)
+            noise *= sigma
             piece += noise
 
 
@@ -439,7 +492,6 @@ def simulate_frame_analog(
     scaling and sum runs here, under this function's overflow checks.
     """
     sensor = scenario.sensor
-    temporal = scenario.temporal
     if fpn is None:
         fpn = generate_fpn_maps(scenario.seed, sensor, scenario.spatial)
 
@@ -447,56 +499,81 @@ def simulate_frame_analog(
     offsets = row_supply_offsets_dn(scenario, frame_index)
     analog = np.empty(shape, dtype=np.float64)
     analog[...] = (sensor.pedestal_dn + offsets)[:, None]
-
-    def stream(tag: int) -> np.random.Generator:
-        return _stream(scenario.seed, frame_index, tag)
-
-    reset_sigma = None
-    if temporal.reset_enabled and not temporal.cds_enabled:
-        # A numpy product, so an overflow to inf raises here: inf * noise
-        # would raise no overflow flag later.
-        volts = np.float64(physics.reset_noise_v(temporal.reset_temp_k, temporal.reset_cap_f))
-        reset_sigma = volts * sensor.dn_per_volt
-    flicker_on = temporal.flicker_enabled and temporal.flicker_scale_dn > 0
+    shot, read, reset, flicker = _noise_terms(scenario, frame_index)
 
     def draw_reset_and_flicker():
         # Flicker first: its octave temporaries are gone before the
         # reset normals are allocated.
-        series = pink_noise(analog.size, stream(_TAG_FLICKER)) if flicker_on else None
-        reset = stream(_TAG_RESET).standard_normal(shape) if reset_sigma is not None else None
-        return reset, series
+        series = _pink_noise(analog.size, flicker[0]) if flicker else None
+        raw = reset[0].standard_normal(shape) if reset else None
+        return raw, series
 
-    shot = read = None
-    if temporal.shot_enabled and temporal.dark_signal_e > 0:
-        shot = (stream(_TAG_SHOT), temporal.dark_signal_e)
-    if temporal.read_noise_dn > 0:
-        read = (stream(_TAG_READ), temporal.read_noise_dn)
-    if reset_sigma is None and not flicker_on:
+    def add_shot_and_read() -> None:
+        buf = _piece_buffer(shape) if read else None
+        for index in _pieces(shape):
+            _add_draws(analog[index], buf, shot, [read] if read else [])
+
+    if reset is None and flicker is None:
         # No executor either: one made per frame, even idle, raised the
         # peak RSS of a read-noise-only VGA sweep by about 5 MB.
-        _add_shot_and_read(analog.reshape(-1), shot, read)
-        reset = series = None
+        add_shot_and_read()
+        raw = series = None
     else:
         # The helper is joined on leaving the block, also when the shot
-        # and read noise raise. No public function of this module is
-        # called here until then: bench/spans.py keeps one span stack for
-        # all threads, and this keeps the helper's pink_noise span under
-        # this function's.
+        # and read noise raise. It calls no function that bench/spans.py
+        # traces, so the traced span tree stays on the calling thread.
         with ThreadPoolExecutor(max_workers=1) as helper:
             lane = helper.submit(draw_reset_and_flicker)
-            _add_shot_and_read(analog.reshape(-1), shot, read)
-            reset, series = lane.result()
-    if reset is not None:
-        reset *= reset_sigma
-        analog += reset
+            add_shot_and_read()
+            raw, series = lane.result()
+    if raw is not None:
+        raw *= reset[1]
+        analog += raw
     if series is not None:
-        series *= temporal.flicker_scale_dn
+        series *= flicker[1]
         analog += series.reshape(shape)
     if fpn.pixel_offset_dn is not None:
         analog += fpn.pixel_offset_dn
     if fpn.column_offset_dn is not None:
         analog += fpn.column_offset_dn[:, None, :]
     return analog
+
+
+@_finite_arithmetic()
+def _frame_in_pieces(
+    scenario: SimScenario, frame_index: int, fpn: FpnMaps, offsets: np.ndarray
+) -> Frame:
+    """simulate_frame's frame, made on the thread that calls this, given
+    the frame's row_supply_offsets_dn. The flicker series is drawn first,
+    whole; then each piece takes every term in simulate_frame_analog's
+    order and is quantized straight into the uint8 pixels, so no float
+    frame and no whole reset array is held. Calls no function that
+    bench/spans.py traces, so it may run on a helper thread."""
+    sensor = scenario.sensor
+    shape = (sensor.channels, sensor.readout_rows, sensor.width)
+    shot, read, reset, flicker = _noise_terms(scenario, frame_index)
+    series = _pink_noise(math.prod(shape), flicker[0]).reshape(shape) if flicker else None
+    normals = [term for term in (read, reset) if term]
+    level = sensor.pedestal_dn + offsets
+    pixels = np.empty(shape, dtype=np.uint8)
+    acc = _piece_buffer(shape)
+    buf = _piece_buffer(shape) if normals else None
+    for index in _pieces(shape):
+        c, rows, columns = index
+        out = pixels[index]
+        piece = acc[: out.size].reshape(out.shape)
+        piece[...] = level[rows, None]
+        _add_draws(piece, buf, shot, normals)
+        if series is not None:
+            term = series[index]
+            term *= flicker[1]
+            piece += term
+        if fpn.pixel_offset_dn is not None:
+            piece += fpn.pixel_offset_dn[index]
+        if fpn.column_offset_dn is not None:
+            piece += fpn.column_offset_dn[c, columns]
+        out[...] = _round_and_clip(piece)
+    return Frame(pixels=pixels)
 
 
 def simulate_frame(
@@ -508,13 +585,31 @@ def simulate_frame(
 
 
 def iter_stack(scenario: SimScenario, n_frames: int) -> Iterator[Frame]:
-    """The frames of simulate_stack, made one at a time as they are asked
-    for, so a caller that writes each out holds one frame at a time."""
+    """The frames of simulate_stack, in order, made as they are asked for.
+
+    Frames are made in pairs on two threads: one helper thread, kept for
+    the stack, makes frame i + 1 on its own while the calling thread
+    makes frame i. A caller that writes each frame out holds at most the
+    frame it last took and the pair in the making. The last frame of an
+    odd stack is made by simulate_frame, after the helper is joined, so
+    a stack never runs more than two threads. Closing the iterator early
+    or a frame that raises joins the helper first.
+    """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
     fpn = generate_fpn_maps(scenario.seed, scenario.sensor, scenario.spatial)
-    for i in range(n_frames):
-        yield simulate_frame(scenario, i, fpn)
+    # The executor starts its thread at the first submit: a one-frame
+    # stack starts none. Supply offsets are computed here, on the calling
+    # thread, with the other traced calls.
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for i in range(1, n_frames, 2):
+            offsets = row_supply_offsets_dn(scenario, i)
+            later = helper.submit(_frame_in_pieces, scenario, i, fpn, offsets)
+            offsets = row_supply_offsets_dn(scenario, i - 1)
+            yield _frame_in_pieces(scenario, i - 1, fpn, offsets)
+            yield later.result()
+    if n_frames % 2:
+        yield simulate_frame(scenario, n_frames - 1, fpn)
 
 
 def simulate_stack(scenario: SimScenario, n_frames: int) -> list[Frame]:

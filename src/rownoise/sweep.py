@@ -8,8 +8,11 @@ Points come either from the built-in simulator or from an external
 capture command (a bench supply or signal generator wrapper) that drops
 image files into a directory. A sweep is its list of (frequency, row
 noise) points in ascending frequency. Simulated steps are independent;
-with more than one worker they run on a thread pool. Results go by step
-index, so the output is bit-identical for any worker count.
+with more than one worker they run on a thread pool, one point in
+flight per worker. Each point's stack of two or more frames adds one
+helper thread (sensor.iter_stack), so one worker uses two threads.
+Results go by step index, so the output is bit-identical for any worker
+count.
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ oracle_row_noise is brute-force row noise: plain nested loops, free of
 numpy and of any helper shared with rownoise.metric, so a fault in the
 vectorized path cannot hide in both. oracle_simulate_frame_analog draws
 each noise substream whole and adds the terms one at a time.
+oracle_max_separation folds every candidate of the tune grid, where
+rownoise.mitigation prunes the ones that cannot win.
 """
 
 import math
@@ -11,6 +13,7 @@ import math
 import numpy as np
 
 from rownoise import physics
+from rownoise.mitigation import TUNE_FPS_STEP
 from rownoise.sensor import generate_fpn_maps, row_supply_offsets_dn
 
 
@@ -70,3 +73,17 @@ def oracle_simulate_frame_analog(scenario, frame_index):
     if fpn.column_offset_dn is not None:
         analog += fpn.column_offset_dn[:, None, :]
     return analog
+
+
+def oracle_max_separation(f_noise_hz, fps_range, frame_length_range):
+    """(fps, frame length) that rownoise.mitigation.recommend_tuning picks
+    in MAX_SEPARATION mode, by folding every grid candidate: the largest
+    alias, ties to the lower fps, then the lower frame length."""
+    fps_grid = np.array(physics.frequency_grid(*fps_range, TUNE_FPS_STEP))
+    best = None
+    for frame_length in range(frame_length_range[0], frame_length_range[1] + 1):
+        score = -physics.fold_frequency(f_noise_hz, fps_grid * frame_length)
+        idx = int(np.argmin(score))
+        candidate = (float(score[idx]), float(fps_grid[idx]), frame_length)
+        best = candidate if best is None else min(best, candidate)
+    return best[1], best[2]

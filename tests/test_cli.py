@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from rownoise import sensor
 from rownoise.cli import build_parser, main
 from rownoise.imageio import write_image
 from rownoise.sensor import Frame, SimScenario, scenario_from_json, simulate_stack
@@ -159,16 +160,20 @@ class TestSimulate:
 
     def test_peak_memory_does_not_grow_with_frames(self, tmp_path):
         # Each frame is written as it is made, so eight frames peak no
-        # higher than two by as much as one frame.
-        width, rows = 128, 96
+        # higher than four by as much as one frame. From four frames on, a
+        # pair is made while the writer still holds the frame before it.
+        # Frames take milliseconds, so the two threads of a pair overlap
+        # whatever the thread start-up takes; the baseline is the higher
+        # of two runs, in case they did not.
+        width, rows = 640, 480
 
-        def peak(frames: int) -> int:
+        def peak(frames: int, run: int = 0) -> int:
             return traced_peak(["simulate", "--width", str(width), "--active-rows", str(rows),
                                 "--read-noise", "2", "--frames", str(frames),
-                                "--out-dir", str(tmp_path / str(frames))])
+                                "--out-dir", str(tmp_path / f"{frames}-{run}")])
 
         peak(1)  # imports and caches
-        assert peak(8) - peak(2) < width * rows
+        assert peak(8) - max(peak(4), peak(4, 1)) < width * rows
 
     def test_overflow_in_a_later_frame_writes_nothing(self, tmp_path, capsys):
         # Frame 0 is read out within 1/60 s; frame 1 starts at 2 s, where
@@ -220,6 +225,23 @@ class TestSimulate:
                      "--flicker", "--flicker-scale", "1", "--read-noise", "1e308",
                      "--out-dir", str(tmp_path / "d")]) == 2
         assert "overflow" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # no .rownoise-* staging directory, no out-dir
+        assert threading.active_count() == before
+
+    def test_frame_failing_on_the_helper_leaves_nothing(self, tmp_path, capsys, monkeypatch):
+        # Frame im2 of each pair is made on the stack's helper thread.
+        real = sensor._frame_in_pieces
+
+        def fail_on_helper(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("a frame made on a helper thread failed")
+            return real(*args)
+
+        monkeypatch.setattr(sensor, "_frame_in_pieces", fail_on_helper)
+        before = threading.active_count()
+        assert main(["simulate", "--width", "16", "--active-rows", "8", "--frames", "3",
+                     "--reset", "--out-dir", str(tmp_path / "d")]) == 2
+        assert "helper thread failed" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())  # no .rownoise-* staging directory, no out-dir
         assert threading.active_count() == before
 

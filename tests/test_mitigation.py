@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from oracle import oracle_max_separation
 from scipy.ndimage import median_filter
 
 from rownoise.metric import row_noise_single
@@ -374,6 +375,40 @@ class TestTuning:
         r = math.fmod(f_noise, chosen_line)
         chosen_alias = min(r, chosen_line - r)
         assert chosen_alias == pytest.approx(best, abs=1e-6)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # Round frequencies fold to the same alias at many grid points.
+        st.one_of(
+            st.sampled_from([5000.0, 24000.0, 100.0, 103200.0, 60.0]),
+            st.floats(min_value=1.0, max_value=200_000.0),
+        ),
+        st.integers(min_value=100, max_value=6000),
+        st.integers(min_value=0, max_value=400),
+        st.integers(min_value=1, max_value=2000),
+        st.integers(min_value=0, max_value=40),
+    )
+    def test_pruned_search_matches_exhaustive_search(self, f_noise, fps_lo, fps_n, fl_lo, fl_n):
+        fps_range = (fps_lo * TUNE_FPS_STEP, (fps_lo + fps_n) * TUNE_FPS_STEP)
+        frame_lengths = (fl_lo, fl_lo + fl_n)
+        rec = recommend_tuning(f_noise, fps_range, frame_lengths)
+        fps, frame_length = oracle_max_separation(f_noise, fps_range, frame_lengths)
+        assert (rec.recommended_fps, rec.recommended_frame_length_rows) == (fps, frame_length)
+
+    @pytest.mark.parametrize(
+        "f_noise, fps_range, frame_lengths",
+        [
+            (5000.0, (10.0, 20.0), (100, 400)),
+            (24000.0, (15.0, 60.0), (500, 700)),
+            (103200.0, (15.0, 60.0), (500, 2000)),
+            (5000.0, (50.0, 50.0), (1, 2)),  # every fold is 0
+        ],
+    )
+    def test_pruned_search_on_tie_heavy_grids(self, f_noise, fps_range, frame_lengths):
+        rec = recommend_tuning(f_noise, fps_range, frame_lengths)
+        fps, frame_length = oracle_max_separation(f_noise, fps_range, frame_lengths)
+        assert (rec.recommended_fps, rec.recommended_frame_length_rows) == (fps, frame_length)
 
 
 class TestFilterPrediction:

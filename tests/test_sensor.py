@@ -1,12 +1,15 @@
 """Simulator behavior: supply coupling, timing, noise sources, determinism."""
 
+import importlib
 import math
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from oracle import oracle_simulate_frame_analog
+import rownoise.sensor as sensormod
 from rownoise.physics import reset_noise_v
 from rownoise.sensor import (
     _CHUNK,
@@ -19,6 +22,7 @@ from rownoise.sensor import (
     SupplyNoiseConfig,
     TemporalNoiseConfig,
     generate_fpn_maps,
+    iter_stack,
     pink_noise,
     quantize_dn,
     rc_attenuation,
@@ -419,44 +423,52 @@ class TestTemporalNoise:
             pink_noise(0, np.random.default_rng(0))
 
 
+# Temporal source subsets: every source, each helper-lane source alone,
+# and the calling-lane sources alone.
+SOURCE_SUBSETS = pytest.mark.parametrize(
+    "temporal",
+    [
+        TemporalNoiseConfig(
+            shot_enabled=True, dark_signal_e=4.0, read_noise_dn=2.0, reset_enabled=True,
+            flicker_enabled=True, flicker_scale_dn=0.5,
+        ),
+        TemporalNoiseConfig(reset_enabled=True),
+        TemporalNoiseConfig(flicker_enabled=True, flicker_scale_dn=1.5),
+        TemporalNoiseConfig(shot_enabled=True, dark_signal_e=4.0, read_noise_dn=2.0),
+    ],
+    ids=["all", "reset", "flicker", "shot_read"],
+)
+
+
+def lane_scenario(temporal, channels, width, active_rows) -> SimScenario:
+    return SimScenario(
+        sensor=SensorConfig(
+            width=width, active_rows=active_rows, optical_black_rows=2, channels=channels
+        ),
+        supply=SupplyNoiseConfig(
+            frequency_hz=4117.0, amplitude_vpp=0.5, phase_mode=PhaseMode.RANDOM_PER_FRAME
+        ),
+        temporal=temporal,
+        spatial=SpatialNoiseConfig(dsnu_dn=0.5, column_fpn_dn=0.3),
+        seed=58,
+    )
+
+
 class TestNoiseLanes:
     """Shot and read noise stream in pieces of _CHUNK elements on the
     calling thread; reset and flicker are drawn on a helper thread. The
     analog bytes must equal whole-substream draws summed in order."""
 
-    @pytest.mark.parametrize(
-        "temporal",
-        [
-            TemporalNoiseConfig(
-                shot_enabled=True, dark_signal_e=4.0, read_noise_dn=2.0, reset_enabled=True,
-                flicker_enabled=True, flicker_scale_dn=0.5,
-            ),
-            TemporalNoiseConfig(reset_enabled=True),
-            TemporalNoiseConfig(flicker_enabled=True, flicker_scale_dn=1.5),
-            TemporalNoiseConfig(shot_enabled=True, dark_signal_e=4.0, read_noise_dn=2.0),
-        ],
-        ids=["all", "reset", "flicker", "shot_read"],
-    )
+    @SOURCE_SUBSETS
     @pytest.mark.parametrize(
         "channels, width, active_rows",
         [(1, 333, 401), (3, 257, 171), (1, 7, 7), (3, 7, 7)],
     )
     def test_lanes_match_whole_draws(self, temporal, channels, width, active_rows):
-        sensor = SensorConfig(
-            width=width, active_rows=active_rows, optical_black_rows=2, channels=channels
-        )
-        size = channels * sensor.readout_rows * width
+        sc = lane_scenario(temporal, channels, width, active_rows)
+        size = channels * sc.sensor.readout_rows * width
         # Either more than two pieces with a short last one, or one short piece.
         assert (size > 2 * _CHUNK and size % _CHUNK) or size < _CHUNK
-        sc = SimScenario(
-            sensor=sensor,
-            supply=SupplyNoiseConfig(
-                frequency_hz=4117.0, amplitude_vpp=0.5, phase_mode=PhaseMode.RANDOM_PER_FRAME
-            ),
-            temporal=temporal,
-            spatial=SpatialNoiseConfig(dsnu_dn=0.5, column_fpn_dn=0.3),
-            seed=58,
-        )
         for frame_index in (0, 2):
             got = simulate_frame_analog(sc, frame_index)
             assert got.tobytes() == oracle_simulate_frame_analog(sc, frame_index).tobytes()
@@ -484,6 +496,127 @@ class TestNoiseLanes:
         monkeypatch.setattr("rownoise.sensor.ThreadPoolExecutor", fail)
         temporal = TemporalNoiseConfig(shot_enabled=True, dark_signal_e=4.0, read_noise_dn=2.0)
         simulate_frame_analog(SimScenario(sensor=SMALL, temporal=temporal), 0)
+
+
+class TestPairedStack:
+    """Stacks are made two frames at a time: the calling thread makes frame
+    i while the stack's helper thread makes frame i + 1, each in pieces
+    written straight into its uint8 pixels; the last frame of an odd
+    stack takes the two-lane path. Every frame must equal the quantized
+    whole-draw oracle."""
+
+    @SOURCE_SUBSETS
+    @pytest.mark.parametrize(
+        "channels, width, active_rows",
+        [
+            (1, 333, 401),  # pieces of 196 rows: one ends mid-channel
+            (3, 300, 250),  # pieces of 218 of 252 rows in each channel
+            (1, _CHUNK + 7, 1),  # rows longer than a piece
+            (3, 7, 7),  # one short piece per channel
+        ],
+    )
+    def test_stacks_match_oracle_frames(self, temporal, channels, width, active_rows):
+        sc = lane_scenario(temporal, channels, width, active_rows)
+        expected = [quantize_dn(oracle_simulate_frame_analog(sc, i)).tobytes() for i in range(5)]
+        for n in range(1, 6):
+            assert [f.pixels.tobytes() for f in simulate_stack(sc, n)] == expected[:n], n
+
+    def test_closing_after_one_frame_leaves_no_thread(self):
+        before = threading.active_count()
+        frames = iter_stack(lane_scenario(TemporalNoiseConfig(read_noise_dn=2.0), 1, 64, 48), 4)
+        next(frames)
+        frames.close()
+        assert threading.active_count() == before
+
+    def test_frame_failing_on_the_helper_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(
+            sensormod, "_frame_in_pieces", fail_off_main_thread(sensormod._frame_in_pieces)
+        )
+        before = threading.active_count()
+        sc = lane_scenario(TemporalNoiseConfig(reset_enabled=True), 1, 64, 48)
+        with pytest.raises(ValueError, match="made on a helper thread"):
+            simulate_stack(sc, 4)
+        assert threading.active_count() == before
+
+
+def fail_off_main_thread(fn):
+    """fn, raising ValueError when called on any thread but the main one."""
+
+    def wrapper(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise ValueError("a frame made on a helper thread failed")
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+# The functions bench/spans.py wraps in spans (TRACED) or counts
+# (COUNTED), as (module, function). Its tracer keeps one span stack for
+# all threads, so each must run on the thread that called into rownoise.
+SPAN_FUNCTIONS = [
+    ("cli", "main"),
+    ("sweep", "run_sweep"),
+    ("sweep", "write_csv"),
+    ("sensor", "simulate_stack"),
+    ("sensor", "generate_fpn_maps"),
+    ("sensor", "simulate_frame"),
+    ("sensor", "simulate_frame_analog"),
+    ("sensor", "row_supply_offsets_dn"),
+    ("sensor", "pink_noise"),
+    ("sensor", "quantize_dn"),
+    ("metric", "row_noise"),
+    ("metric", "row_noise_single"),
+    ("imageio", "read_image"),
+    ("imageio", "write_image"),
+    ("mitigation", "lowpass_offset_suppress"),
+    ("mitigation", "dark_reference_correct"),
+    ("mitigation", "recommend_tuning"),
+    ("physics", "line_frequency"),
+    ("physics", "alias_and_band_height"),
+]
+
+
+class TestThreadDiscipline:
+    def test_traced_functions_run_on_the_calling_thread(self, monkeypatch, tmp_path):
+        import rownoise.cli
+
+        calls = []  # (function, thread ident)
+
+        def recorder(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        # Rebind each function wherever a rownoise module imported it by
+        # name, as the tracer does.
+        modules = [m for k, m in list(sys.modules.items()) if k.startswith("rownoise")]
+        for module, name in SPAN_FUNCTIONS:
+            original = getattr(importlib.import_module(f"rownoise.{module}"), name)
+            wrapper = recorder(f"{module}.{name}", original)
+            for mod in modules:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, wrapper)
+
+        every_source = TemporalNoiseConfig(
+            shot_enabled=True, dark_signal_e=4.0, read_noise_dn=2.0, reset_enabled=True,
+            flicker_enabled=True, flicker_scale_dn=0.5,
+        )
+        reset_flicker = TemporalNoiseConfig(
+            reset_enabled=True, flicker_enabled=True, flicker_scale_dn=0.5
+        )
+        sensormod.simulate_stack(lane_scenario(every_source, 3, 64, 48), 4)
+        sensormod.simulate_stack(lane_scenario(reset_flicker, 1, 64, 48), 3)
+        assert rownoise.cli.main([
+            "sweep", "--width", "32", "--active-rows", "24", "--read-noise", "2",
+            "--start", "100", "--end", "200", "--step", "100", "--frames-per-step", "3",
+            "--reset", "--flicker", "--flicker-scale", "0.5",
+            "--out", str(tmp_path / "sweep.csv"),
+        ]) == 0
+        names = {name for name, _ in calls}
+        assert {"sensor.row_supply_offsets_dn", "sensor.simulate_frame", "cli.main"} <= names
+        assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
 class TestFixedPattern:
