@@ -26,17 +26,15 @@ modelled; SpatialNoiseConfig accepts only prnu_fraction 0.
 Determinism: every stochastic term draws from its own Philox substream
 keyed by (seed, frame_index, source tag), filled row-major. A substream
 may be drawn in consecutive pieces, which gives the same values as one
-draw, and every frame sums its terms per pixel in one fixed order. So a
-frame comes out bit-identical whichever way it is made: a stack makes
-its frames in pairs, each whole on one thread, the helper thread's
-frame beside the calling thread's, and a frame without a partner draws
-reset and flicker noise on a helper thread while shot and read noise
-stream in. Frames can therefore be generated in any order, on any
-worker count, and come out bit-identical. Fixed-pattern maps are keyed
-by seed alone so they stay frozen across a stack. A source whose sigma
-or switch is off draws nothing and adds nothing, which leaves the other
-substreams and every output bit as they would be with its zero term
-added.
+draw. Every frame is made in pieces by one body, whole on the thread
+that makes it, which sums its terms per pixel in one fixed order; a
+stack makes its frames in pairs, the helper thread's frame beside the
+calling thread's. Frames can therefore be generated in any order, on
+any worker count, and come out bit-identical. Fixed-pattern maps are
+keyed by seed alone so they stay frozen across a stack. A source whose
+sigma or switch is off draws nothing and adds nothing, which leaves the
+other substreams and every output bit as they would be with its zero
+term added.
 
 Units: one simulated electron contributes one DN. Neither the supply
 coupling path nor the 0 lux operating point gives a reason to pick a
@@ -333,7 +331,7 @@ def pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
-    # pink_noise's body, which the frame makers call on any thread.
+    # pink_noise's body, which the frame maker calls on any thread.
     total = np.empty(n, dtype=np.float64)
     rng.standard_normal(out=total)  # octave 0: one draw per output
     for k in range(1, PINK_OCTAVES):
@@ -480,87 +478,31 @@ def _add_draws(piece: np.ndarray, buf: np.ndarray | None, shot, normals) -> None
 
 
 @_finite_arithmetic()
-def simulate_frame_analog(
-    scenario: SimScenario, frame_index: int, fpn: FpnMaps | None = None
+def _frame_in_pieces(
+    scenario: SimScenario, frame_index: int, fpn: FpnMaps | None, offsets: np.ndarray, dtype
 ) -> np.ndarray:
-    """Analog pixel values before quantization, float64 (channels, rows, width).
-
-    The terms are summed into one buffer in a fixed order: pedestal plus
-    supply offset, shot, read, reset, flicker, pixel FPN, column FPN.
-    Shot and read noise stream in on the calling thread while one helper
-    thread draws the raw reset normals and the flicker series; every
-    scaling and sum runs here, under this function's overflow checks.
-    """
+    """The one body that makes a frame, on the thread that calls it, given
+    the frame's row_supply_offsets_dn. The flicker series is drawn first,
+    whole; then each piece sums its terms in a fixed order (pedestal plus
+    supply offset, shot, read, reset, flicker, pixel FPN, column FPN) and
+    is stored as float64 or, for uint8, rounded and clipped. So no whole
+    float sum or reset array is held beside the output. Given fpn, it
+    calls no function that bench/spans.py traces, so it may run on a
+    helper thread."""
     sensor = scenario.sensor
     if fpn is None:
         fpn = generate_fpn_maps(scenario.seed, sensor, scenario.spatial)
-
-    shape = (sensor.channels, sensor.readout_rows, sensor.width)
-    offsets = row_supply_offsets_dn(scenario, frame_index)
-    analog = np.empty(shape, dtype=np.float64)
-    analog[...] = (sensor.pedestal_dn + offsets)[:, None]
-    shot, read, reset, flicker = _noise_terms(scenario, frame_index)
-
-    def draw_reset_and_flicker():
-        # Flicker first: its octave temporaries are gone before the
-        # reset normals are allocated.
-        series = _pink_noise(analog.size, flicker[0]) if flicker else None
-        raw = reset[0].standard_normal(shape) if reset else None
-        return raw, series
-
-    def add_shot_and_read() -> None:
-        buf = _piece_buffer(shape) if read else None
-        for index in _pieces(shape):
-            _add_draws(analog[index], buf, shot, [read] if read else [])
-
-    if reset is None and flicker is None:
-        # No executor either: one made per frame, even idle, raised the
-        # peak RSS of a read-noise-only VGA sweep by about 5 MB.
-        add_shot_and_read()
-        raw = series = None
-    else:
-        # The helper is joined on leaving the block, also when the shot
-        # and read noise raise. It calls no function that bench/spans.py
-        # traces, so the traced span tree stays on the calling thread.
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            lane = helper.submit(draw_reset_and_flicker)
-            add_shot_and_read()
-            raw, series = lane.result()
-    if raw is not None:
-        raw *= reset[1]
-        analog += raw
-    if series is not None:
-        series *= flicker[1]
-        analog += series.reshape(shape)
-    if fpn.pixel_offset_dn is not None:
-        analog += fpn.pixel_offset_dn
-    if fpn.column_offset_dn is not None:
-        analog += fpn.column_offset_dn[:, None, :]
-    return analog
-
-
-@_finite_arithmetic()
-def _frame_in_pieces(
-    scenario: SimScenario, frame_index: int, fpn: FpnMaps, offsets: np.ndarray
-) -> Frame:
-    """simulate_frame's frame, made on the thread that calls this, given
-    the frame's row_supply_offsets_dn. The flicker series is drawn first,
-    whole; then each piece takes every term in simulate_frame_analog's
-    order and is quantized straight into the uint8 pixels, so no float
-    frame and no whole reset array is held. Calls no function that
-    bench/spans.py traces, so it may run on a helper thread."""
-    sensor = scenario.sensor
     shape = (sensor.channels, sensor.readout_rows, sensor.width)
     shot, read, reset, flicker = _noise_terms(scenario, frame_index)
     series = _pink_noise(math.prod(shape), flicker[0]).reshape(shape) if flicker else None
     normals = [term for term in (read, reset) if term]
     level = sensor.pedestal_dn + offsets
-    pixels = np.empty(shape, dtype=np.uint8)
+    frame = np.empty(shape, dtype=dtype)
     acc = _piece_buffer(shape)
     buf = _piece_buffer(shape) if normals else None
     for index in _pieces(shape):
         c, rows, columns = index
-        out = pixels[index]
+        out = frame[index]
         piece = acc[: out.size].reshape(out.shape)
         piece[...] = level[rows, None]
         _add_draws(piece, buf, shot, normals)
@@ -572,28 +514,36 @@ def _frame_in_pieces(
             piece += fpn.pixel_offset_dn[index]
         if fpn.column_offset_dn is not None:
             piece += fpn.column_offset_dn[c, columns]
-        out[...] = _round_and_clip(piece)
-    return Frame(pixels=pixels)
+        out[...] = _round_and_clip(piece) if frame.dtype == np.uint8 else piece
+    return frame
+
+
+def simulate_frame_analog(
+    scenario: SimScenario, frame_index: int, fpn: FpnMaps | None = None
+) -> np.ndarray:
+    """Analog pixel values before quantization, float64 (channels, rows, width)."""
+    offsets = row_supply_offsets_dn(scenario, frame_index)
+    return _frame_in_pieces(scenario, frame_index, fpn, offsets, np.float64)
 
 
 def simulate_frame(
     scenario: SimScenario, frame_index: int, fpn: FpnMaps | None = None
 ) -> Frame:
-    """Quantized capture of one frame."""
-    analog = simulate_frame_analog(scenario, frame_index, fpn)
-    return Frame(pixels=_quantize_in_place(analog))
+    """Quantized capture of one frame: simulate_frame_analog's values,
+    rounded and clipped piece by piece into uint8."""
+    offsets = row_supply_offsets_dn(scenario, frame_index)
+    return Frame(pixels=_frame_in_pieces(scenario, frame_index, fpn, offsets, np.uint8))
 
 
 def iter_stack(scenario: SimScenario, n_frames: int) -> Iterator[Frame]:
     """The frames of simulate_stack, in order, made as they are asked for.
 
-    Frames are made in pairs on two threads: one helper thread, kept for
-    the stack, makes frame i + 1 on its own while the calling thread
-    makes frame i. A caller that writes each frame out holds at most the
-    frame it last took and the pair in the making. The last frame of an
-    odd stack is made by simulate_frame, after the helper is joined, so
-    a stack never runs more than two threads. Closing the iterator early
-    or a frame that raises joins the helper first.
+    Frames are made in pairs: one helper thread, kept for the stack, makes
+    frame i + 1 while the calling thread makes frame i with
+    simulate_frame. The last frame of an odd stack has no partner. A
+    caller that writes each frame out holds at most the frame it last
+    took and the pair in the making. Closing the iterator early or a
+    frame that raises joins the helper first.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
@@ -602,14 +552,14 @@ def iter_stack(scenario: SimScenario, n_frames: int) -> Iterator[Frame]:
     # stack starts none. Supply offsets are computed here, on the calling
     # thread, with the other traced calls.
     with ThreadPoolExecutor(max_workers=1) as helper:
-        for i in range(1, n_frames, 2):
-            offsets = row_supply_offsets_dn(scenario, i)
-            later = helper.submit(_frame_in_pieces, scenario, i, fpn, offsets)
-            offsets = row_supply_offsets_dn(scenario, i - 1)
-            yield _frame_in_pieces(scenario, i - 1, fpn, offsets)
-            yield later.result()
-    if n_frames % 2:
-        yield simulate_frame(scenario, n_frames - 1, fpn)
+        for i in range(0, n_frames, 2):
+            later = None
+            if i + 1 < n_frames:
+                offsets = row_supply_offsets_dn(scenario, i + 1)
+                later = helper.submit(_frame_in_pieces, scenario, i + 1, fpn, offsets, np.uint8)
+            yield simulate_frame(scenario, i, fpn)
+            if later is not None:
+                yield Frame(pixels=later.result())
 
 
 def simulate_stack(scenario: SimScenario, n_frames: int) -> list[Frame]:

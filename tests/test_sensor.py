@@ -4,6 +4,7 @@ import importlib
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,8 +224,8 @@ class TestSupplyCoupling:
             # The kTC sigma itself is inf, and inf * noise sets no flag.
             {"temporal": TemporalNoiseConfig(
                 reset_enabled=True, reset_temp_k=1e308, reset_cap_f=1e-308)},
-            # Scaled on the calling thread: a helper thread would not
-            # inherit the overflow check.
+            # Scaled in the frame body, whose overflow check holds on
+            # the stack's helper thread too.
             {"temporal": TemporalNoiseConfig(flicker_enabled=True, flicker_scale_dn=1e308)},
             {"spatial": SpatialNoiseConfig(column_fpn_dn=1e308)},
         ],
@@ -423,8 +424,8 @@ class TestTemporalNoise:
             pink_noise(0, np.random.default_rng(0))
 
 
-# Temporal source subsets: every source, each helper-lane source alone,
-# and the calling-lane sources alone.
+# Temporal source subsets: every source, reset alone, flicker alone, and
+# shot and read together.
 SOURCE_SUBSETS = pytest.mark.parametrize(
     "temporal",
     [
@@ -455,9 +456,9 @@ def lane_scenario(temporal, channels, width, active_rows) -> SimScenario:
 
 
 class TestNoiseLanes:
-    """Shot and read noise stream in pieces of _CHUNK elements on the
-    calling thread; reset and flicker are drawn on a helper thread. The
-    analog bytes must equal whole-substream draws summed in order."""
+    """Every frame is made on one thread in pieces of at most _CHUNK
+    elements, the flicker series drawn whole first. The analog bytes must
+    equal whole-substream draws summed in order."""
 
     @SOURCE_SUBSETS
     @pytest.mark.parametrize(
@@ -476,9 +477,9 @@ class TestNoiseLanes:
     @pytest.mark.parametrize(
         "temporal",
         [
-            # Raises on the calling thread while the helper draws.
+            # Raises in the first piece's read noise, after the flicker draw.
             TemporalNoiseConfig(read_noise_dn=1e308, flicker_enabled=True, flicker_scale_dn=1.0),
-            # Raises after the helper has returned its draws.
+            # Raises where the first piece's flicker is scaled.
             TemporalNoiseConfig(reset_enabled=True, flicker_enabled=True, flicker_scale_dn=1e308),
         ],
         ids=["during_helper", "after_helper"],
@@ -489,21 +490,44 @@ class TestNoiseLanes:
             simulate_frame_analog(SimScenario(sensor=SMALL, temporal=temporal), 0)
         assert threading.active_count() == before
 
-    def test_no_helper_without_reset_or_flicker(self, monkeypatch):
+    def test_lone_frames_make_no_executor(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("helper executor made")
+            raise AssertionError("executor made")
 
         monkeypatch.setattr("rownoise.sensor.ThreadPoolExecutor", fail)
-        temporal = TemporalNoiseConfig(shot_enabled=True, dark_signal_e=4.0, read_noise_dn=2.0)
-        simulate_frame_analog(SimScenario(sensor=SMALL, temporal=temporal), 0)
+        temporal = TemporalNoiseConfig(
+            shot_enabled=True, dark_signal_e=4.0, read_noise_dn=2.0, reset_enabled=True,
+            flicker_enabled=True, flicker_scale_dn=0.5,
+        )
+        sc = lane_scenario(temporal, 3, 64, 48)
+        simulate_frame(sc, 0)
+        simulate_frame_analog(sc, 0)
+
+    def test_lone_frame_holds_no_float_frame(self):
+        # Shot, read and reset noise with no flicker series and no DSNU
+        # map: the frame's own bytes are its uint8 pixels and a few
+        # piece buffers, far below one float64 frame.
+        sensor = SensorConfig(width=640, active_rows=480, channels=3)
+        temporal = TemporalNoiseConfig(
+            shot_enabled=True, dark_signal_e=4.0, read_noise_dn=2.0, reset_enabled=True
+        )
+        sc = SimScenario(sensor=sensor, temporal=temporal, seed=3)
+        simulate_frame(sc, 0)  # imports and caches
+        tracemalloc.start()
+        try:
+            simulate_frame(sc, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 480 * 640 * 8
 
 
 class TestPairedStack:
     """Stacks are made two frames at a time: the calling thread makes frame
     i while the stack's helper thread makes frame i + 1, each in pieces
     written straight into its uint8 pixels; the last frame of an odd
-    stack takes the two-lane path. Every frame must equal the quantized
-    whole-draw oracle."""
+    stack has no partner. Every frame must equal the quantized whole-draw
+    oracle."""
 
     @SOURCE_SUBSETS
     @pytest.mark.parametrize(
