@@ -27,10 +27,11 @@ Determinism: every stochastic term draws from its own Philox substream
 keyed by (seed, frame_index, source tag), filled row-major. A substream
 may be drawn in consecutive pieces, which gives the same values as one
 draw. Every frame is made in pieces by one body, whole on the thread
-that makes it, which sums its terms per pixel in one fixed order; a
-stack makes its frames in pairs, the helper thread's frame beside the
-calling thread's. Frames can therefore be generated in any order, on
-any worker count, and come out bit-identical. Fixed-pattern maps are
+that makes it, which sums its terms per pixel in one fixed order; one
+frame stream makes a stack's frames two at a time and a sweep's
+2 x workers at a time, helper threads' frames beside the calling
+thread's. Frames can therefore be generated in any order, on any
+worker count, and come out bit-identical. Fixed-pattern maps are
 keyed by seed alone so they stay frozen across a stack. A source whose
 sigma or switch is off draws nothing and adds nothing, which leaves the
 other substreams and every output bit as they would be with its zero
@@ -48,11 +49,12 @@ import json
 import math
 import numbers
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
@@ -535,31 +537,39 @@ def simulate_frame(
     return Frame(pixels=_frame_in_pieces(scenario, frame_index, fpn, offsets, np.uint8))
 
 
-def iter_stack(scenario: SimScenario, n_frames: int) -> Iterator[Frame]:
-    """The frames of simulate_stack, in order, made as they are asked for.
+def _frame_stream(
+    jobs: Iterable[tuple[SimScenario, int, FpnMaps]], lanes: int
+) -> Iterator[Frame]:
+    """The Frame of each (scenario, frame index, fpn) job, in job order,
+    made lanes >= 2 at a time: the calling thread makes the first of each
+    group with simulate_frame, lanes - 1 helper threads kept for the
+    stream make the rest. Jobs and supply offsets are taken on the
+    calling thread, with the other traced calls. Closing the stream early
+    or a frame that raises joins the helpers first."""
+    jobs = iter(jobs)
+    # The executor starts its threads at the first submit: a stream of
+    # one job starts none.
+    with ThreadPoolExecutor(max_workers=lanes - 1) as helpers:
+        while group := list(islice(jobs, lanes)):
+            later = [
+                helpers.submit(
+                    _frame_in_pieces, sc, i, fpn, row_supply_offsets_dn(sc, i), np.uint8
+                )
+                for sc, i, fpn in group[1:]
+            ]
+            yield simulate_frame(*group[0])
+            for future in later:
+                yield Frame(pixels=future.result())
 
-    Frames are made in pairs: one helper thread, kept for the stack, makes
-    frame i + 1 while the calling thread makes frame i with
-    simulate_frame. The last frame of an odd stack has no partner. A
-    caller that writes each frame out holds at most the frame it last
-    took and the pair in the making. Closing the iterator early or a
-    frame that raises joins the helper first.
-    """
+
+def iter_stack(scenario: SimScenario, n_frames: int) -> Iterator[Frame]:
+    """The frames of simulate_stack, in order, made in pairs as they are
+    asked for (_frame_stream). A caller that writes each frame out holds
+    at most the frame it last took and the pair in the making."""
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
     fpn = generate_fpn_maps(scenario.seed, scenario.sensor, scenario.spatial)
-    # The executor starts its thread at the first submit: a one-frame
-    # stack starts none. Supply offsets are computed here, on the calling
-    # thread, with the other traced calls.
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        for i in range(0, n_frames, 2):
-            later = None
-            if i + 1 < n_frames:
-                offsets = row_supply_offsets_dn(scenario, i + 1)
-                later = helper.submit(_frame_in_pieces, scenario, i + 1, fpn, offsets, np.uint8)
-            yield simulate_frame(scenario, i, fpn)
-            if later is not None:
-                yield Frame(pixels=later.result())
+    yield from _frame_stream(((scenario, i, fpn) for i in range(n_frames)), 2)
 
 
 def simulate_stack(scenario: SimScenario, n_frames: int) -> list[Frame]:

@@ -7,12 +7,12 @@ noise starts, where it peaks and which frequency ranges are of concern.
 Points come either from the built-in simulator or from an external
 capture command (a bench supply or signal generator wrapper) that drops
 image files into a directory. A sweep is its list of (frequency, row
-noise) points in ascending frequency. Simulated steps are independent;
-with more than one worker they run on a thread pool, one point in
-flight per worker. Each point's stack of two or more frames adds one
-helper thread (sensor.iter_stack), so one worker uses two threads.
-Results go by step index, so the output is bit-identical for any worker
-count.
+noise) points in ascending frequency. Each simulated point has its own
+seed and FPN maps. The frames of every point run through one frame
+stream (sensor._frame_stream), 2 x workers frames at a time, so a group
+may end one point and start the next, and every point measures its
+frames in order. Each frame is bit-identical on any thread, so the
+output is the same for any worker count.
 """
 
 from __future__ import annotations
@@ -20,16 +20,18 @@ from __future__ import annotations
 import json
 import math
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import imageio, physics
 from .metric import row_noise
-from .sensor import SimScenario, _build_section, _check_field_types, simulate_stack
+from .sensor import SimScenario, _build_section, _check_field_types, _frame_stream
+from .sensor import generate_fpn_maps
+from .sensor import simulate_stack  # noqa: F401  bench/test_bench.py traces sweep.simulate_stack
 
 __all__ = [
     "SimulateSource",
@@ -137,14 +139,20 @@ def _step_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1)[0])
 
 
-def _measure_simulated(config: SweepConfig, index: int, freq: float) -> float:
+def _simulated_jobs(config: SweepConfig, freqs: list[float]):
+    """The (scenario, frame index, fpn) job of every frame of the sweep,
+    point after point, each point's scenario and FPN maps made as its
+    first job is taken."""
     base = config.source.scenario
-    scenario = replace(
-        base,
-        supply=replace(base.supply, frequency_hz=freq, amplitude_vpp=config.amplitude_vpp),
-        seed=_step_seed(config.seed, index),
-    )
-    return row_noise(simulate_stack(scenario, config.frames_per_step)).average
+    for index, freq in enumerate(freqs):
+        scenario = replace(
+            base,
+            supply=replace(base.supply, frequency_hz=freq, amplitude_vpp=config.amplitude_vpp),
+            seed=_step_seed(config.seed, index),
+        )
+        fpn = generate_fpn_maps(scenario.seed, scenario.sensor, scenario.spatial)
+        for i in range(config.frames_per_step):
+            yield scenario, i, fpn
 
 
 def _measure_captured(config: SweepConfig, freq: float) -> float:
@@ -180,15 +188,10 @@ def run_sweep(config: SweepConfig) -> list[tuple[float, float]]:
                 raise CaptureError(str(exc), points) from exc
         return points
 
-    args = (partial(_measure_simulated, config), range(len(freqs)), freqs)
-    if config.workers == 1:  # a pool thread's malloc arena would keep the freed frames
-        return list(zip(freqs, map(*args)))
-    pool = ThreadPoolExecutor(max_workers=config.workers)
-    try:
-        return list(zip(freqs, pool.map(*args)))
-    finally:
-        # A failed point or an interrupt skips the points not yet started.
-        pool.shutdown(cancel_futures=True)
+    # closing() joins the stream's helper threads before the sweep returns or raises.
+    jobs = _simulated_jobs(config, freqs)
+    with closing(_frame_stream(jobs, 2 * config.workers)) as stream:
+        return [(f, row_noise(islice(stream, config.frames_per_step)).average) for f in freqs]
 
 
 def _format_freq(freq: float) -> str:

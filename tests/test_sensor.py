@@ -638,8 +638,16 @@ class TestThreadDiscipline:
             "--reset", "--flicker", "--flicker-scale", "0.5",
             "--out", str(tmp_path / "sweep.csv"),
         ]) == 0
+        # Four frames in the making at a time, groups straddling points.
+        assert rownoise.cli.main([
+            "sweep", "--width", "32", "--active-rows", "24", "--read-noise", "2",
+            "--start", "100", "--end", "300", "--step", "100", "--frames-per-step", "3",
+            "--dsnu", "0.5", "--flicker", "--flicker-scale", "0.5", "--workers", "2",
+            "--out", str(tmp_path / "pairs.csv"),
+        ]) == 0
         names = {name for name, _ in calls}
-        assert {"sensor.row_supply_offsets_dn", "sensor.simulate_frame", "cli.main"} <= names
+        assert {"sensor.generate_fpn_maps", "sensor.row_supply_offsets_dn",
+                "sensor.simulate_frame", "cli.main"} <= names
         assert {ident for _, ident in calls} == {threading.get_ident()}
 
 

@@ -5,6 +5,7 @@ import math
 import re
 import shlex
 import sys
+import threading
 import time
 from dataclasses import asdict, replace
 
@@ -12,11 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rownoise import sweep
+from rownoise import sensor, sweep
 from rownoise.metric import row_noise
 from rownoise.sensor import (
+    PhaseMode,
     SensorConfig,
     SimScenario,
+    SpatialNoiseConfig,
     SupplyNoiseConfig,
     TemporalNoiseConfig,
     simulate_stack,
@@ -155,32 +158,46 @@ class TestRunSweep:
         serial = run_sweep(SweepConfig(**base, workers=1))
         assert run_sweep(SweepConfig(**base, workers=4)) == serial
 
-    def test_one_worker_runs_on_the_calling_thread(self, monkeypatch):
-        cfg = SweepConfig(start_hz=3550.0, end_hz=5550.0, step_hz=1000.0, frames_per_step=1,
+    def test_one_worker_sweep_runs_at_most_two_threads(self, monkeypatch):
+        cfg = SweepConfig(start_hz=3550.0, end_hz=7550.0, step_hz=1000.0, frames_per_step=1,
                           source=SimulateSource(scenario=quiet_scenario()), workers=2)
         pooled = run_sweep(cfg)
+        real = sensor._frame_in_pieces
+        seen = []  # (thread ident, threads alive) at each frame
 
-        def fail(*args, **kwargs):
-            raise AssertionError("a one-worker sweep started a thread pool")
+        def record(*args):
+            seen.append((threading.get_ident(), threading.active_count()))
+            time.sleep(0.01)  # so the frames of a group overlap
+            return real(*args)
 
-        monkeypatch.setattr(sweep, "ThreadPoolExecutor", fail)
+        monkeypatch.setattr(sensor, "_frame_in_pieces", record)
+        before = threading.active_count()
         assert run_sweep(replace(cfg, workers=1)) == pooled
+        # One frame per point, yet two threads: frames pair across points.
+        assert len({ident for ident, _ in seen}) == 2
+        assert max(alive for _, alive in seen) <= before + 1
+        assert threading.active_count() == before
 
-    def test_failed_point_skips_the_points_not_yet_started(self, monkeypatch):
-        measured = []
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_frame_stops_the_sweep_and_leaves_no_thread(self, monkeypatch, workers):
+        real = sensor._frame_in_pieces
+        started = []
 
-        def measure(config, index, freq):
-            measured.append(index)
-            if index == 0:
+        def frame(scenario, frame_index, *args):
+            started.append(frame_index)
+            if scenario.supply.frequency_hz == 100.0 and frame_index == 0:
                 raise ValueError("scenario values overflow float64 arithmetic")
             time.sleep(0.01)
-            return 0.0
+            return real(scenario, frame_index, *args)
 
-        monkeypatch.setattr(sweep, "_measure_simulated", measure)
-        cfg = SweepConfig(start_hz=100.0, end_hz=5000.0, step_hz=100.0)
+        monkeypatch.setattr(sensor, "_frame_in_pieces", frame)
+        cfg = SweepConfig(start_hz=100.0, end_hz=5000.0, step_hz=100.0,
+                          source=SimulateSource(scenario=quiet_scenario()), workers=workers)
+        before = threading.active_count()
         with pytest.raises(ValueError, match="overflow"):
             run_sweep(cfg)
-        assert len(measured) < 10  # of 50 points
+        assert 0 < len(started) < 10  # of 50 points x 3 frames
+        assert threading.active_count() == before
 
     def test_rerun_is_identical(self, tmp_path):
         scenario = SimScenario(
@@ -198,6 +215,50 @@ class TestRunSweep:
         write_csv(run_sweep(cfg), a)
         write_csv(run_sweep(cfg), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+EVERY_SOURCE = TemporalNoiseConfig(
+    shot_enabled=True, dark_signal_e=4.0, read_noise_dn=2.0, reset_enabled=True,
+    flicker_enabled=True, flicker_scale_dn=0.5,
+)
+
+
+class TestSweepStream:
+    """A simulated sweep runs the frames of all its points through one
+    frame stream, 2 x workers frames at a time, so groups straddle
+    points. Every point must still equal its own stack, measured alone."""
+
+    @staticmethod
+    def scenario(channels, phase_mode):
+        return SimScenario(
+            sensor=SensorConfig(width=24, active_rows=16, optical_black_rows=2,
+                                blanking_rows=14, channels=channels),
+            supply=SupplyNoiseConfig(phase_rad=0.3, rc_cutoff_hz=20_000.0,
+                                     phase_mode=phase_mode),
+            temporal=EVERY_SOURCE,
+            spatial=SpatialNoiseConfig(dsnu_dn=0.5, column_fpn_dn=0.3),
+        )
+
+    @pytest.mark.parametrize("phase_mode", list(PhaseMode))
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_point_equals_its_own_stack(self, n, channels, phase_mode):
+        cfg = SweepConfig(start_hz=1000.0, end_hz=5000.0, step_hz=1000.0, amplitude_vpp=0.5,
+                          frames_per_step=n, seed=3,
+                          source=SimulateSource(scenario=self.scenario(channels, phase_mode)))
+        base = cfg.source.scenario
+        expected = []
+        for index, freq in enumerate([1000.0, 2000.0, 3000.0, 4000.0, 5000.0]):
+            point = replace(
+                base,
+                supply=replace(base.supply, frequency_hz=freq, amplitude_vpp=0.5),
+                seed=sweep._step_seed(3, index),
+            )
+            expected.append((freq, row_noise(simulate_stack(point, n)).average))
+        before = threading.active_count()
+        for workers in (1, 2, 3):
+            assert run_sweep(replace(cfg, workers=workers)) == expected, workers
+        assert threading.active_count() == before
 
 
 def capture_setup(tmp_path, fail_above=None):
