@@ -296,20 +296,14 @@ def _max_separation(f_noise_hz: float, fps_grid: np.ndarray, lengths: range) -> 
     the lengths from the longest, which raise the best alias soonest,
     each length folds only the ascending grid's line rates from the
     first that reaches twice the best. Every candidate skipped is
-    strictly worse. No fold exceeds f_noise_hz either, so once the best
-    alias reaches it a candidate can only tie, and wins only at the best
-    fps or below: each length then stops at the best fps. So the answer
-    is the exhaustive search's."""
+    strictly worse, so the answer is the exhaustive search's."""
     best = (0.0, math.inf, 0)  # (-alias, fps, frame length): min is the answer
-    stop = len(fps_grid)
     for frame_length in reversed(lengths):
         lines = fps_grid * frame_length
         first = int(np.searchsorted(lines, -2.0 * best[0]))
-        if -best[0] == f_noise_hz:
-            stop = int(np.searchsorted(fps_grid, best[1], "right"))
-        if first >= stop:
+        if first == len(lines):
             continue
-        aliases = physics.fold_frequency(f_noise_hz, lines[first:stop])
+        aliases = physics.fold_frequency(f_noise_hz, lines[first:])
         idx = int(np.argmax(aliases))
         best = min(best, (-float(aliases[idx]), float(fps_grid[first + idx]), frame_length))
     return best[1], best[2]

@@ -402,7 +402,7 @@ class TestTuning:
             (5000.0, (10.0, 20.0), (100, 400)),
             (24000.0, (15.0, 60.0), (500, 700)),
             (103200.0, (15.0, 60.0), (500, 2000)),
-            # The best alias reaches the noise frequency: lengths stop at its fps.
+            # The best alias reaches the noise frequency: ties at many lengths.
             (1000.0, (15.0, 60.0), (500, 2000)),
             (5000.0, (15.0, 60.0), (500, 2000)),
             (5000.0, (50.0, 50.0), (1, 2)),  # every fold is 0
