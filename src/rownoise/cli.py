@@ -92,12 +92,13 @@ def _add_scenario_flags(p: argparse.ArgumentParser, at: str = "") -> None:
 
 
 def _merge_flags(args: argparse.Namespace, doc, root):
-    """doc with every given flag whose dest path starts at a field of the
-    dataclass root set at that path. A document, or a part of the path,
-    that is not an object stays as it is, for the parser to reject."""
+    """doc with every given flag whose dest path starts at a field or a
+    retired key of the dataclass root set at that path; the parser judges
+    a retired key's value. A document, or a part of the path, that is not
+    an object stays as it is, for the parser to reject."""
     if not isinstance(doc, dict):
         return doc
-    names = {f.name for f in fields(root)}
+    names = {f.name for f in fields(root)} | set(getattr(root, "_retired_keys", {}))
     for dest, value in vars(args).items():
         path = dest.split(".")
         if value is None or path[0] not in names:
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(p, "--step", "step_hz", type=float, help="Hz")
     _flag(p, "--amp", "amplitude_vpp", type=float, help="Vpp")
     p.add_argument("--frames-per-step", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, help="retired: only 1")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--plot", help="also write an SVG chart here")
     _flag(p, "--capture-cmd", "source.command",

@@ -28,14 +28,13 @@ keyed by (seed, frame_index, source tag), filled row-major. A substream
 may be drawn in consecutive pieces, which gives the same values as one
 draw. Every frame is made in pieces by one body, whole on the thread
 that makes it, which sums its terms per pixel in one fixed order; one
-frame stream makes a stack's frames two at a time and a sweep's
-2 x workers at a time, helper threads' frames beside the calling
-thread's. Frames can therefore be generated in any order, on any
-worker count, and come out bit-identical. Fixed-pattern maps are
-keyed by seed alone so they stay frozen across a stack. A source whose
-sigma or switch is off draws nothing and adds nothing, which leaves the
-other substreams and every output bit as they would be with its zero
-term added.
+frame stream makes the frames of a stack or a sweep in pairs, a helper
+thread's frame beside the calling thread's. Frames can therefore be
+generated in any order, on either thread, and come out bit-identical.
+Fixed-pattern maps are keyed by seed alone so they stay frozen across a
+stack. A source whose sigma or switch is off draws nothing and adds
+nothing, which leaves the other substreams and every output bit as they
+would be with its zero term added.
 
 Units: one simulated electron contributes one DN. Neither the supply
 coupling path nor the 0 lux operating point gives a reason to pick a
@@ -153,6 +152,11 @@ class SensorConfig:
     pedestal_dn: float = 16.0    # keeps negative excursions off the 0 clamp
     dn_per_volt: float = MAX_DN / 3.3
     channels: int = 1
+
+    # Keys that older documents carry for a field that had one legal
+    # value: key -> (field type, value). _build_section drops such a key
+    # when it holds that value and rejects any other.
+    _retired_keys = {"bit_depth": ("int", 8)}
 
     def __post_init__(self) -> None:
         _check_field_types(self)
@@ -537,27 +541,25 @@ def simulate_frame(
     return Frame(pixels=_frame_in_pieces(scenario, frame_index, fpn, offsets, np.uint8))
 
 
-def _frame_stream(
-    jobs: Iterable[tuple[SimScenario, int, FpnMaps]], lanes: int
-) -> Iterator[Frame]:
+def _frame_stream(jobs: Iterable[tuple[SimScenario, int, FpnMaps]]) -> Iterator[Frame]:
     """The Frame of each (scenario, frame index, fpn) job, in job order,
-    made lanes >= 2 at a time: the calling thread makes the first of each
-    group with simulate_frame, lanes - 1 helper threads kept for the
-    stream make the rest. Jobs and supply offsets are taken on the
-    calling thread, with the other traced calls. Closing the stream early
-    or a frame that raises joins the helpers first."""
+    made in pairs: the calling thread makes the first of each pair with
+    simulate_frame, one helper thread kept for the stream makes the
+    second. Jobs and supply offsets are taken on the calling thread,
+    with the other traced calls. Closing the stream early or a frame
+    that raises joins the helper first."""
     jobs = iter(jobs)
-    # The executor starts its threads at the first submit: a stream of
-    # one job starts none.
-    with ThreadPoolExecutor(max_workers=lanes - 1) as helpers:
-        while group := list(islice(jobs, lanes)):
+    # One helper thread, started at the first submit: a stream of one
+    # job starts none.
+    with ThreadPoolExecutor(1) as helper:
+        while pair := list(islice(jobs, 2)):
             later = [
-                helpers.submit(
+                helper.submit(
                     _frame_in_pieces, sc, i, fpn, row_supply_offsets_dn(sc, i), np.uint8
                 )
-                for sc, i, fpn in group[1:]
+                for sc, i, fpn in pair[1:]
             ]
-            yield simulate_frame(*group[0])
+            yield simulate_frame(*pair[0])
             for future in later:
                 yield Frame(pixels=future.result())
 
@@ -569,7 +571,7 @@ def iter_stack(scenario: SimScenario, n_frames: int) -> Iterator[Frame]:
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
     fpn = generate_fpn_maps(scenario.seed, scenario.sensor, scenario.spatial)
-    yield from _frame_stream(((scenario, i, fpn) for i in range(n_frames)), 2)
+    yield from _frame_stream((scenario, i, fpn) for i in range(n_frames))
 
 
 def simulate_stack(scenario: SimScenario, n_frames: int) -> list[Frame]:
@@ -582,23 +584,16 @@ def scenario_to_json(scenario: SimScenario) -> str:
     return json.dumps(asdict(scenario), sort_keys=True)
 
 
-# Keys that older documents and sidecars carry for a field that had one
-# legal value: (field type, value). A document still loads when it gives
-# that value, and the key is dropped.
-_RETIRED_KEYS = {
-    SensorConfig: {"bit_depth": ("int", 8)},
-}
-
-
 def _build_section(cls, section, name: str, **parts):
     """cls from one document section. A field whose default is a config
     dataclass is built from its own sub-section, unless parts gives it.
     A section that is not an object, has unknown keys or lacks a required
-    one raises ValueError naming it by its path in the document."""
+    one raises ValueError naming it by its path in the document. A key
+    of cls._retired_keys is dropped when it holds its one legal value."""
     if not isinstance(section, dict):
         raise ValueError(f"{name} must be an object")
     section = dict(section)
-    for key, (kind, legal) in _RETIRED_KEYS.get(cls, {}).items():
+    for key, (kind, legal) in getattr(cls, "_retired_keys", {}).items():
         if key in section:
             value = section.pop(key)
             if not (_FIELD_TYPES[kind][1](value) and value == legal):

@@ -9,10 +9,10 @@ capture command (a bench supply or signal generator wrapper) that drops
 image files into a directory. A sweep is its list of (frequency, row
 noise) points in ascending frequency. Each simulated point has its own
 seed and FPN maps. The frames of every point run through one frame
-stream (sensor._frame_stream), 2 x workers frames at a time, so a group
-may end one point and start the next, and every point measures its
-frames in order. Each frame is bit-identical on any thread, so the
-output is the same for any worker count.
+stream (sensor._frame_stream) in pairs, on the calling thread and one
+helper thread, so a pair may end one point and start the next, and every
+point measures its frames in order. Each frame is bit-identical on
+either thread.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import math
 import subprocess
 from contextlib import closing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 
@@ -107,7 +107,8 @@ class SweepConfig:
     frames_per_step: int = 3
     source: SimulateSource | CaptureSource = field(default_factory=SimulateSource)
     seed: int = 0
-    workers: int = 1
+
+    _retired_keys = {"workers": ("int", 1)}  # as SensorConfig._retired_keys
 
     def __post_init__(self) -> None:
         _check_field_types(self)
@@ -121,8 +122,6 @@ class SweepConfig:
             raise ValueError(f"amplitude_vpp must be >= 0, got {self.amplitude_vpp}")
         if self.frames_per_step < 1:
             raise ValueError(f"frames_per_step must be >= 1, got {self.frames_per_step}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if isinstance(self.source, SimulateSource):
@@ -133,6 +132,12 @@ class SweepConfig:
             if named:
                 raise ValueError(f"the scenario's {', '.join(named)} must be 0 in a simulated "
                                  "sweep, which sets frequency, amplitude and seed at each point")
+        elif isinstance(self.source, CaptureSource):
+            named = [f.name for f in fields(self) if f.name in ("frames_per_step", "seed")
+                     and getattr(self, f.name) != f.default]
+            if named:
+                raise ValueError(f"{', '.join(named)} must keep the default in a capture sweep, "
+                                 "which reads the images the capture command writes")
 
 
 def _step_seed(seed: int, index: int) -> int:
@@ -188,9 +193,8 @@ def run_sweep(config: SweepConfig) -> list[tuple[float, float]]:
                 raise CaptureError(str(exc), points) from exc
         return points
 
-    # closing() joins the stream's helper threads before the sweep returns or raises.
-    jobs = _simulated_jobs(config, freqs)
-    with closing(_frame_stream(jobs, 2 * config.workers)) as stream:
+    # closing() joins the stream's helper thread before the sweep returns or raises.
+    with closing(_frame_stream(_simulated_jobs(config, freqs))) as stream:
         return [(f, row_noise(islice(stream, config.frames_per_step)).average) for f in freqs]
 
 

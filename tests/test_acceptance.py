@@ -3,7 +3,6 @@ end and prints a single [PASS]/[FAIL] line; run with
 `pytest -s tests/test_acceptance.py` to see the lines for passing
 criteria too."""
 
-import dataclasses
 import math
 import statistics
 import time
@@ -158,7 +157,6 @@ def test_criterion_07_nulls_at_every_harmonic():
         amplitude_vpp=1.0,
         frames_per_step=1,
         seed=3,
-        workers=4,
     )
     with criterion(7, "sweep shows a null at every line-rate harmonic"):
         by_freq = dict(run_sweep(config))
@@ -283,21 +281,19 @@ def test_criterion_11_sweep_determinism_and_throughput(tmp_path):
         amplitude_vpp=1.0,
         frames_per_step=3,
         seed=12345,
-        workers=1,
     )
-    with criterion(11, "full sweep is byte-identical across runs and workers"):
+    with criterion(11, "full sweep is byte-identical across runs"):
         t0 = time.monotonic()
         first = run_sweep(config)
         elapsed = time.monotonic() - t0
         again = run_sweep(config)
-        parallel = run_sweep(dataclasses.replace(config, workers=4))
         assert len(first) == 100
         blobs = []
-        for name, points in (("a", first), ("b", again), ("c", parallel)):
+        for name, points in (("a", first), ("b", again)):
             path = tmp_path / f"{name}.csv"
             write_csv(points, path)
             blobs.append(path.read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
+        assert blobs[0] == blobs[1]
         assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
 
 

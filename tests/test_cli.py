@@ -304,9 +304,15 @@ OLD_SWEEP_SIDECAR = (
 OLD_SWEEP_PIN = "de3ea7c3e7cd3440f1254c2f24629ddee6298f493b1b8c19f6f484d1b12858b9"
 
 
-class TestRetiredBitDepth:
-    """bit_depth had one legal value, 8. Old sidecars carrying it replay
-    to the same bytes; any other value is still a usage error."""
+# Each retired key and its one legal value.
+RETIRED = {"bit_depth": 8, "workers": 1}
+
+
+class TestRetiredKeys:
+    """The sensor's bit_depth had one legal value, 8, and the sweep's
+    workers has one, 1. Old sidecars carrying them replay to the same
+    bytes and the sidecars written afterwards drop them; any other value
+    is a usage error."""
 
     def test_simulate_sidecar_replays(self, tmp_path):
         (tmp_path / "old.json").write_text(OLD_SIMULATE_SIDECAR)
@@ -317,24 +323,59 @@ class TestRetiredBitDepth:
         assert got == OLD_SIMULATE_PINS
         assert "bit_depth" not in (out / "config.json").read_text()
 
-    def test_sweep_sidecar_replays(self, tmp_path):
+    @pytest.mark.parametrize("key", RETIRED)
+    def test_sweep_sidecar_replays(self, tmp_path, key):
         (tmp_path / "old.json").write_text(OLD_SWEEP_SIDECAR)
         csv = tmp_path / "s.csv"
         assert main(["sweep", "--config", str(tmp_path / "old.json"), "--out", str(csv)]) == 0
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == OLD_SWEEP_PIN
+        config = json.loads((tmp_path / "s.csv.config.json").read_text())["config"]
+        assert f'"{key}"' not in json.dumps(config)
 
-    @pytest.mark.parametrize("value", ["12", "8.0"])
-    @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    def test_other_values_are_usage_errors(self, tmp_path, capsys, command, value):
+    @pytest.mark.parametrize("given", ["flag", "document"])
+    def test_workers_1_loads_and_is_dropped(self, tmp_path, given):
+        if given == "flag":
+            argv = [*SMALL_FLAGS, "--start", "100", "--end", "300", "--step", "100",
+                    "--workers", "1"]
+        else:
+            doc = {"start_hz": 100, "end_hz": 300, "step_hz": 100, "workers": 1,
+                   "source": {"scenario": {"sensor": {"width": 16, "active_rows": 64}}}}
+            (tmp_path / "bare.json").write_text(json.dumps(doc))
+            argv = ["--config", str(tmp_path / "bare.json")]
+        csv = tmp_path / "s.csv"
+        assert main(["sweep", *argv, "--out", str(csv)]) == 0
+        assert len(csv.read_text().splitlines()) == 4
+        assert "workers" not in json.loads((tmp_path / "s.csv.config.json").read_text())["config"]
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            *[(command, "bit_depth", value)
+              for command in ("simulate", "sweep") for value in ("12", "8.0")],
+            *[("sweep", "workers", value) for value in ("2", "true", "1.0", '"1"')],
+        ],
+    )
+    def test_other_values_are_usage_errors(self, tmp_path, capsys, command, key, value):
         if command == "simulate":
             doc, argv = OLD_SIMULATE_SIDECAR, ["--out-dir", str(tmp_path / "sim")]
         else:
             doc, argv = OLD_SWEEP_SIDECAR, ["--out", str(tmp_path / "s.csv")]
-        (tmp_path / "old.json").write_text(doc.replace('"bit_depth": 8', f'"bit_depth": {value}'))
+        old = f'"{key}": {RETIRED[key]}'
+        assert old in doc
+        (tmp_path / "old.json").write_text(doc.replace(old, f'"{key}": {value}'))
         assert main([command, "--config", str(tmp_path / "old.json"), *argv]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: bit_depth") and err.count("\n") == 1
+        assert err.startswith(f"error: {key}") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
+
+    @pytest.mark.parametrize("value", ["2", "0", "-1"])
+    def test_other_workers_flags_are_usage_errors(self, tmp_path, capsys, value):
+        # The flag reaches the document parser, which owns the rule.
+        assert main(["sweep", *SMALL_FLAGS, "--start", "100", "--end", "100",
+                     "--workers", value, "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: workers") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
 
 class TestAnalyze:
@@ -421,11 +462,10 @@ class TestSweepCli:
         assert sidecar["command"] == "sweep"
         assert sidecar["config"]["start_hz"] == 3550.0
 
-    def test_rerun_and_worker_count_are_byte_identical(self, tmp_path):
+    def test_rerun_is_byte_identical(self, tmp_path):
         _, a = self.run_small_sweep(tmp_path, "a.csv")
         _, b = self.run_small_sweep(tmp_path, "b.csv")
-        _, c = self.run_small_sweep(tmp_path, "c.csv", extra=("--workers", "4"))
-        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+        assert a.read_bytes() == b.read_bytes()
 
     def test_sidecar_config_reruns_identically(self, tmp_path):
         _, a = self.run_small_sweep(tmp_path, "a.csv")
@@ -541,6 +581,22 @@ class TestSweepCli:
         assert csv.read_text().splitlines() == ["frequency_hz,row_noise", "100,0.0000"]
         assert main(["analyze", str(rig_dir)]) == 0
 
+    def test_capture_sidecar_with_workers_replays(self, tmp_path):
+        # As a release with the sweep field workers wrote it: seed and
+        # frames_per_step at their defaults, which a capture sweep takes.
+        cmd, rig_dir = self.capture_rig(tmp_path)
+        config = {
+            "amplitude_vpp": 1.0, "end_hz": 200.0, "frames_per_step": 3, "seed": 0,
+            "source": {"command": cmd, "image_dir": str(rig_dir), "mode": "capture",
+                       "pattern": "im*"},
+            "start_hz": 100.0, "step_hz": 100.0, "workers": 1,
+        }
+        sidecar = {"command": "sweep", "out": "cap.csv", "config": config}
+        (tmp_path / "old.json").write_text(json.dumps(sidecar))
+        csv = tmp_path / "cap.csv"
+        assert main(["sweep", "--config", str(tmp_path / "old.json"), "--out", str(csv)]) == 0
+        assert csv.read_text().splitlines()[1:] == ["100,0.0000", "200,0.0000"]
+
     def test_capture_cmd_requires_capture_dir(self, tmp_path):
         assert main(["sweep", "--capture-cmd", "true",
                      "--out", str(tmp_path / "x.csv")]) == 2
@@ -610,14 +666,31 @@ class TestMisplacedFlags:
     """A flag the sweep source does not take reaches the document parser as
     an unknown key: exit 2, one error line naming it, nothing written."""
 
-    def check(self, tmp_path, capsys, argv, key):
+    def usage_error(self, tmp_path, capsys, argv) -> str:
         before = set(tmp_path.iterdir())
         assert main(["sweep", *argv, "--start", "100", "--end", "100",
                      "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert repr(key) in err
         assert set(tmp_path.iterdir()) == before  # no CSV, no sidecar
+        return err
+
+    def check(self, tmp_path, capsys, argv, key):
+        assert repr(key) in self.usage_error(tmp_path, capsys, argv)
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--seed", "7"], "seed"),
+            (["--frames-per-step", "9"], "frames_per_step"),
+            (["--seed", "7", "--frames-per-step", "9"], "frames_per_step, seed"),
+        ],
+    )
+    def test_simulation_flags_on_a_capture_sweep(self, tmp_path, capsys, flags, named):
+        # The rig sets how many images a step reads, and nothing is drawn.
+        argv = ["--capture-cmd", "true", "--capture-dir", str(tmp_path / "rig"), *flags]
+        err = self.usage_error(tmp_path, capsys, argv)
+        assert err.startswith(f"error: {named} must keep the default in a capture sweep")
 
     def test_scenario_flags_on_a_capture_sweep(self, tmp_path, capsys):
         argv = ["--capture-cmd", "true", "--capture-dir", str(tmp_path / "rig"),
@@ -661,18 +734,27 @@ def _names_a_field(cls, path: list[str]) -> bool:
 
 class TestFlagPaths:
     """Each config flag's dest is its path in the command's document, so a
-    mistyped dest would only show when a user passes that flag."""
+    mistyped dest, or a flag left behind by a deleted field, would only
+    show when a user passes that flag. Every dest is a field path, a
+    retired key of the document's root or one of the command's flags
+    that are not part of the document."""
 
-    @pytest.mark.parametrize("command, root", [("simulate", SimScenario), ("sweep", SweepConfig)])
-    def test_dests_name_config_fields(self, command, root):
+    @pytest.mark.parametrize(
+        "command, root, other",
+        [
+            ("simulate", SimScenario, {"config", "frames", "out_dir"}),
+            ("sweep", SweepConfig, {"config", "out", "plot"}),
+        ],
+    )
+    def test_dests_name_config_fields(self, command, root, other):
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
-        roots = {f.name for f in dataclasses.fields(root)}
-        paths = [a.dest.split(".") for a in sub.choices[command]._actions
-                 if a.dest.split(".")[0] in roots]
-        assert len(paths) >= 27  # the 26 scenario flags and --seed
-        for path in paths:
-            assert _names_a_field(root, path), ".".join(path)
+        dests = [a.dest for a in sub.choices[command]._actions
+                 if not isinstance(a, argparse._HelpAction)]
+        retired = set(getattr(root, "_retired_keys", {}))
+        assert len(dests) >= 27 + len(other)  # the 26 scenario flags and --seed
+        for dest in dests:
+            assert dest in other or dest in retired or _names_a_field(root, dest.split(".")), dest
 
 
 # Values that fit no field, or only some: wrong types, non-finite numbers,
@@ -786,7 +868,7 @@ SWEEP_CONFIG = st.fixed_dictionaries(
         "amplitude_vpp": field(st.floats(0.0, 3.3)),
         "frames_per_step": field(st.integers(1, 2)),
         "seed": field(st.integers(0, 2**32)),
-        "workers": field(st.integers(1, 2)),
+        "workers": mostly(st.just(1), st.sampled_from(BAD + [2, 1.0, "1"])),
     },
 )
 SWEEP_DOC = mostly(
@@ -1235,7 +1317,7 @@ def argv_for(draw, command: str, inputs: Path, csv: Path, work: Path) -> list[st
         return argv + draw(some_flags({
             "--amp": NUMBER,
             "--frames-per-step": often(st.sampled_from(["1", "2"]), st.just("0")),
-            "--workers": often(st.sampled_from(["1", "2"]), st.just("-1")),
+            "--workers": often(st.just("1"), st.sampled_from(["2", "-1"])),
             "--plot": st.just(str(work / "s.svg")),
             "--capture-dir": st.just(str(work / "no-captures")),
         }))

@@ -164,7 +164,6 @@ def test_criterion_11_sweep_csv_matches_golden_digest(tmp_path):
         amplitude_vpp=1.0,
         frames_per_step=3,
         seed=12345,
-        workers=1,
     )
     path = tmp_path / "sweep.csv"
     write_csv(run_sweep(config), path)

@@ -34,6 +34,7 @@ from rownoise.sensor import (
     simulate_frame_analog,
     simulate_stack,
 )
+from rownoise.sweep import sweep_config_from_json, sweep_config_to_json
 
 # Small, fast geometry: frame length 100 rows at 30 fps -> 3 kHz line rate.
 SMALL = SensorConfig(width=16, active_rows=64, blanking_rows=36, pedestal_dn=128.0)
@@ -638,11 +639,11 @@ class TestThreadDiscipline:
             "--reset", "--flicker", "--flicker-scale", "0.5",
             "--out", str(tmp_path / "sweep.csv"),
         ]) == 0
-        # Four frames in the making at a time, groups straddling points.
+        # Three frames per point, so pairs straddle points.
         assert rownoise.cli.main([
             "sweep", "--width", "32", "--active-rows", "24", "--read-noise", "2",
             "--start", "100", "--end", "300", "--step", "100", "--frames-per-step", "3",
-            "--dsnu", "0.5", "--flicker", "--flicker-scale", "0.5", "--workers", "2",
+            "--dsnu", "0.5", "--flicker", "--flicker-scale", "0.5",
             "--out", str(tmp_path / "pairs.csv"),
         ]) == 0
         names = {name for name, _ in calls}
@@ -700,6 +701,14 @@ class TestFixedPattern:
         assert np.array_equal(frames[0].pixels, frames[1].pixels)
 
 
+# Each retired key: its one legal value, the parser and the writer of its
+# document, and a document with %s where the key may stand.
+RETIRED = {
+    "bit_depth": (8, scenario_from_json, scenario_to_json, '{"sensor": {"width": 64%s}}'),
+    "workers": (1, sweep_config_from_json, sweep_config_to_json, '{"start_hz": 64.0%s}'),
+}
+
+
 class TestScenarioJson:
     def test_round_trip(self):
         sc = SimScenario(
@@ -731,18 +740,36 @@ class TestScenarioJson:
         with pytest.raises(ValueError):
             scenario_from_json('{"sensor": 3}')
 
-    def test_retired_bit_depth_8_is_dropped(self):
-        # Sensor sections written before bit_depth was retired carry 8.
-        old = scenario_from_json('{"sensor": {"width": 64, "bit_depth": 8}}')
-        assert old == SimScenario(sensor=SensorConfig(width=64))
-        assert "bit_depth" not in scenario_to_json(old)
+    @pytest.mark.parametrize("key", RETIRED)
+    def test_retired_key_at_its_value_is_dropped(self, key):
+        # Documents written before the key was retired carry its one value.
+        legal, parse, dump, doc = RETIRED[key]
+        old = parse(doc % f', "{key}": {legal}')
+        assert old == parse(doc % "")
+        assert key not in dump(old)
 
-    @pytest.mark.parametrize("value", ["12", "8.0", "true", '"8"', "null"])
-    def test_retired_bit_depth_other_than_8_rejected(self, value):
-        with pytest.raises(ValueError, match="bit_depth"):
-            scenario_from_json(f'{{"sensor": {{"bit_depth": {value}}}}}')
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            *[("bit_depth", value) for value in ("12", "8.0", "true", '"8"', "null")],
+            *[("workers", value) for value in ("2", "0", "1.0", "true", '"1"', "null")],
+        ],
+    )
+    def test_retired_key_at_another_value_rejected(self, key, value):
+        _, parse, _, doc = RETIRED[key]
+        with pytest.raises(ValueError, match=rf"^{key} is retired"):
+            parse(doc % f', "{key}": {value}')
 
-    @pytest.mark.parametrize("section", ["supply", "temporal", "spatial"])
-    def test_retired_bit_depth_only_in_the_sensor_section(self, section):
+    @pytest.mark.parametrize(
+        "key, doc",
+        [
+            *[("bit_depth", f'{{"{section}": {{%s}}}}')
+              for section in ("supply", "temporal", "spatial")],
+            ("workers", '{"source": {%s}}'),
+            ("workers", '{"source": {"scenario": {%s}}}'),
+        ],
+    )
+    def test_retired_key_only_where_it_was_a_field(self, key, doc):
+        legal, parse, _, _ = RETIRED[key]
         with pytest.raises(ValueError, match="unknown"):
-            scenario_from_json(f'{{"{section}": {{"bit_depth": 8}}}}')
+            parse(doc % f'"{key}": {legal}')

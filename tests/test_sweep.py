@@ -65,10 +65,8 @@ class TestGrid:
             {"start_hz": 100.0, "end_hz": 50.0},
             {"step_hz": 0.0},
             {"frames_per_step": 0},
-            {"workers": 0},
             {"amplitude_vpp": -1.0},
             {"frames_per_step": 1.5},
-            {"workers": 2.0},
             {"end_hz": math.inf},
             {"step_hz": math.nan},
             {"seed": -1},
@@ -91,6 +89,21 @@ class TestGrid:
         # here would be silently replaced.
         with pytest.raises(ValueError, match=rf"scenario's {re.escape(named)} must be 0"):
             SweepConfig(source=SimulateSource(scenario=scenario))
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"seed": 7}, "seed"),
+            ({"frames_per_step": 9}, "frames_per_step"),
+            ({"seed": 7, "frames_per_step": 1}, "frames_per_step, seed"),
+        ],
+    )
+    def test_simulation_fields_on_a_capture_sweep_are_rejected(self, tmp_path, kwargs, named):
+        # A capture sweep reads the rig's images and draws nothing, so a
+        # value here would be recorded in the sidecar yet have no effect.
+        source = CaptureSource(command="true", image_dir=tmp_path)
+        with pytest.raises(ValueError, match=rf"^{named} must keep the default in a capture"):
+            SweepConfig(source=source, **kwargs)
 
 
 class TestRunSweep:
@@ -143,25 +156,10 @@ class TestRunSweep:
         ratio = median_plateau(0.5) / median_plateau(1.0)
         assert abs(ratio - 0.5) / 0.5 < 0.10
 
-    def test_worker_count_does_not_change_results(self):
-        scenario = SimScenario(
-            sensor=SENSOR, temporal=TemporalNoiseConfig(read_noise_dn=2.0)
-        )
-        base = dict(
-            start_hz=3550.0,
-            end_hz=7550.0,
-            step_hz=1000.0,
-            frames_per_step=2,
-            source=SimulateSource(scenario=scenario),
-            seed=5,
-        )
-        serial = run_sweep(SweepConfig(**base, workers=1))
-        assert run_sweep(SweepConfig(**base, workers=4)) == serial
-
-    def test_one_worker_sweep_runs_at_most_two_threads(self, monkeypatch):
+    def test_sweep_makes_its_frames_on_exactly_two_threads(self, monkeypatch):
         cfg = SweepConfig(start_hz=3550.0, end_hz=7550.0, step_hz=1000.0, frames_per_step=1,
-                          source=SimulateSource(scenario=quiet_scenario()), workers=2)
-        pooled = run_sweep(cfg)
+                          source=SimulateSource(scenario=quiet_scenario()))
+        expected = run_sweep(cfg)
         real = sensor._frame_in_pieces
         seen = []  # (thread ident, threads alive) at each frame
 
@@ -172,14 +170,13 @@ class TestRunSweep:
 
         monkeypatch.setattr(sensor, "_frame_in_pieces", record)
         before = threading.active_count()
-        assert run_sweep(replace(cfg, workers=1)) == pooled
+        assert run_sweep(cfg) == expected
         # One frame per point, yet two threads: frames pair across points.
         assert len({ident for ident, _ in seen}) == 2
         assert max(alive for _, alive in seen) <= before + 1
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_failed_frame_stops_the_sweep_and_leaves_no_thread(self, monkeypatch, workers):
+    def test_failed_frame_stops_the_sweep_and_leaves_no_thread(self, monkeypatch):
         real = sensor._frame_in_pieces
         started = []
 
@@ -192,7 +189,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(sensor, "_frame_in_pieces", frame)
         cfg = SweepConfig(start_hz=100.0, end_hz=5000.0, step_hz=100.0,
-                          source=SimulateSource(scenario=quiet_scenario()), workers=workers)
+                          source=SimulateSource(scenario=quiet_scenario()))
         before = threading.active_count()
         with pytest.raises(ValueError, match="overflow"):
             run_sweep(cfg)
@@ -225,8 +222,8 @@ EVERY_SOURCE = TemporalNoiseConfig(
 
 class TestSweepStream:
     """A simulated sweep runs the frames of all its points through one
-    frame stream, 2 x workers frames at a time, so groups straddle
-    points. Every point must still equal its own stack, measured alone."""
+    frame stream in pairs, so pairs straddle points. Every point must
+    still equal its own stack, measured alone."""
 
     @staticmethod
     def scenario(channels, phase_mode):
@@ -256,8 +253,7 @@ class TestSweepStream:
             )
             expected.append((freq, row_noise(simulate_stack(point, n)).average))
         before = threading.active_count()
-        for workers in (1, 2, 3):
-            assert run_sweep(replace(cfg, workers=workers)) == expected, workers
+        assert run_sweep(cfg) == expected
         assert threading.active_count() == before
 
 
@@ -542,7 +538,6 @@ class TestSweepConfigJson:
             frames_per_step=2,
             source=SimulateSource(scenario=quiet_scenario()),
             seed=3,
-            workers=2,
         )
         assert sweep_config_from_json(sweep_config_to_json(cfg)) == cfg
 
