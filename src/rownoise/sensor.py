@@ -83,7 +83,7 @@ __all__ = [
 
 MAX_DN = 255  # 8-bit output range
 PINK_OCTAVES = 16  # octaves summed by pink_noise
-_CHUNK = 1 << 16  # elements per piece of the shot and read noise draws
+_CHUNK = 1 << 16  # elements per frame piece; draws per piece of a flicker octave
 # Largest mean numpy's Poisson draw takes: the int64 maximum less ten of its roots.
 MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
@@ -165,9 +165,9 @@ class SensorConfig:
         if self.active_rows < 1:
             raise ValueError(f"active_rows must be >= 1, got {self.active_rows}")
         if self.optical_black_rows < 0:
-            raise ValueError("optical_black_rows must be >= 0")
+            raise ValueError(f"optical_black_rows must be >= 0, got {self.optical_black_rows}")
         if self.blanking_rows < 0:
-            raise ValueError("blanking_rows must be >= 0")
+            raise ValueError(f"blanking_rows must be >= 0, got {self.blanking_rows}")
         if self.fps <= 0:
             raise ValueError(f"fps must be positive, got {self.fps}")
         if not 0 <= self.pedestal_dn <= MAX_DN:
@@ -340,16 +340,23 @@ def _pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     # pink_noise's body, which the frame maker calls on any thread.
     total = np.empty(n, dtype=np.float64)
     rng.standard_normal(out=total)  # octave 0: one draw per output
+    # Octaves k >= 1 are drawn in pieces of at most _CHUNK values into
+    # one buffer, which continue the generator's draws like one whole
+    # draw: the series is then the only n-sized array held.
+    buf = np.empty(min(_CHUNK, (n + 1) // 2), dtype=np.float64)
     for k in range(1, PINK_OCTAVES):
         step = 1 << k
-        draws = rng.standard_normal((n + step - 1) // step)
-        # Each draw covers one block of `step` outputs; the last block
-        # may be short.
-        whole = n // step
-        blocks = total[: whole * step].reshape(whole, step)
-        blocks += draws[:whole, None]
-        if whole < len(draws):
-            total[whole * step :] += draws[whole]
+        for start in range(0, n, _CHUNK * step):
+            span = total[start : start + _CHUNK * step]
+            draws = buf[: (span.size + step - 1) // step]
+            rng.standard_normal(out=draws)
+            # Each draw covers one block of `step` outputs; the last
+            # block may be short.
+            whole = span.size // step
+            blocks = span[: whole * step].reshape(whole, step)
+            blocks += draws[:whole, None]
+            if whole < draws.size:
+                span[whole * step :] += draws[whole]
     total /= math.sqrt(PINK_OCTAVES)
     return total
 

@@ -115,7 +115,7 @@ class SweepConfig:
         if self.start_hz <= 0:
             raise ValueError(f"start_hz must be positive, got {self.start_hz}")
         if self.end_hz < self.start_hz:
-            raise ValueError("end_hz must be >= start_hz")
+            raise ValueError(f"end_hz must be >= start_hz ({self.start_hz}), got {self.end_hz}")
         if self.step_hz <= 0:
             raise ValueError(f"step_hz must be positive, got {self.step_hz}")
         if self.amplitude_vpp < 0:
@@ -138,6 +138,10 @@ class SweepConfig:
             if named:
                 raise ValueError(f"{', '.join(named)} must keep the default in a capture sweep, "
                                  "which reads the images the capture command writes")
+        else:
+            raise ValueError(
+                f"source must be a SimulateSource or CaptureSource, got {self.source!r}"
+            )
 
 
 def _step_seed(seed: int, index: int) -> int:

@@ -85,6 +85,11 @@ class TestConfigs:
         with pytest.raises(ValueError):
             SensorConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["optical_black_rows", "blanking_rows"])
+    def test_negative_row_count_names_its_value(self, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 0, got -3$"):
+            SensorConfig(**{name: -3})
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -409,7 +414,10 @@ class TestTemporalNoise:
         assert np.array_equal(a, b)
         assert 0.2 < float(np.var(a)) < 5.0
 
-    @pytest.mark.parametrize("n", [1, 7, 1024, 1500])
+    # Sizes above one piece: at 2 * _CHUNK + 1 octave 1 takes two pieces
+    # of draws, the last one draw long; at 2**20 + 3 octaves 1-4 take
+    # several, each ending in a short block.
+    @pytest.mark.parametrize("n", [1, 7, 1024, 1500, _CHUNK + 1, 2 * _CHUNK + 1, 2**20 + 3])
     def test_pink_noise_matches_repeat_reference(self, n):
         # The octave sum written out with full-length repeats.
         rng = np.random.default_rng(11)
@@ -521,6 +529,23 @@ class TestNoiseLanes:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 480 * 640 * 8
+
+    def test_flicker_frame_peak_memory_holds_one_series(self):
+        # Flicker alone: the frame's uint8 pixels, its 8-byte series and
+        # a few piece-sized buffers, with no octave drawn whole beside
+        # the series.
+        sensor = SensorConfig(width=1280, active_rows=800, channels=1)
+        temporal = TemporalNoiseConfig(flicker_enabled=True, flicker_scale_dn=0.5)
+        sc = SimScenario(sensor=sensor, temporal=temporal, seed=3)
+        n = sensor.channels * sensor.readout_rows * sensor.width
+        simulate_frame(sc, 0)  # imports and caches
+        tracemalloc.start()
+        try:
+            simulate_frame(sc, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * n + 4 * _CHUNK * 8
 
 
 class TestPairedStack:

@@ -76,6 +76,20 @@ class TestGrid:
         with pytest.raises(ValueError):
             SweepConfig(**kwargs)
 
+    def test_end_below_start_names_both_values(self):
+        message = r"^end_hz must be >= start_hz \(100\.0\), got 50\.0$"
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(start_hz=100.0, end_hz=50.0)
+
+    @pytest.mark.parametrize(
+        "source, shown", [("x", "'x'"), (None, "None"), (SimScenario(), "SimScenario(")]
+    )
+    def test_source_of_another_type_is_rejected(self, source, shown):
+        # Caught here, not as an AttributeError once run_sweep reads it.
+        message = "^source must be a SimulateSource or CaptureSource, got " + re.escape(shown)
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(start_hz=100, end_hz=100, source=source)
+
     @pytest.mark.parametrize(
         "scenario, named",
         [
