@@ -57,7 +57,7 @@ def _add_scenario_flags(p: argparse.ArgumentParser, at: str = "") -> None:
     add(g, "--fps", "sensor.fps", type=float)
     add(g, "--pedestal", "sensor.pedestal_dn", type=float, help="dark level in DN")
     add(g, "--dn-per-volt", "sensor.dn_per_volt", type=float)
-    add(g, "--channels", "sensor.channels", type=int, choices=(1, 3))
+    add(g, "--channels", "sensor.channels", type=int)
 
     s = p.add_argument_group("supply disturbance")
     if not at:  # a sweep sets the frequency and the amplitude at each point

@@ -44,10 +44,13 @@ directly visible in the output.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
+import operator
 import sys
+import typing
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -98,35 +101,80 @@ _TAG_FPN_PIXEL = 6
 _TAG_FPN_COLUMN = 7
 
 
-# Field annotation -> (what a value must be, test). Annotations are
-# strings here because of `from __future__ import annotations`.
-_FIELD_TYPES = {
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# Field annotation -> (what a value must be, test). Integers fit float.
+_TYPES = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: _is_real(v) and isinstance(v, numbers.Integral)),
     # abs(v) <= max rejects nan, inf and an int too large for a float,
     # where math.isfinite would raise OverflowError.
-    "float": (
-        "a finite number",
-        lambda v: isinstance(v, numbers.Real)
-        and not isinstance(v, bool)
-        and abs(v) <= sys.float_info.max,
-    ),
-    "str": ("a string", lambda v: isinstance(v, str)),
+    float: ("a finite number", lambda v: _is_real(v) and abs(v) <= sys.float_info.max),
+    str: ("a string", lambda v: isinstance(v, str)),
 }
+_SYMBOLS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}  # keyed by operator module names
 
 
-def _check_field_types(config) -> None:
-    """Reject a config dataclass field whose value does not fit its bool,
-    int, float or str annotation. Integers fit float; None fits an
-    optional field."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        kind = f.type.removesuffix(" | None")
-        if kind not in _FIELD_TYPES or (value is None and kind != f.type):
-            continue
-        want, fits = _FIELD_TYPES[kind]
-        if not fits(value):
-            raise ValueError(f"{f.name} must be {want}, got {value!r}")
+def _bounded(default, **rule):
+    """A config field whose value _check_fields holds to rule: choices, or
+    one or two of the bounds ge, gt, le and lt, a lower one first."""
+    return field(default=default, metadata=rule)
+
+
+def _rule_check(rule: dict) -> tuple:
+    """(what a value must be, test) of a field's declared rule."""
+    if "choices" in rule:
+        choices = rule["choices"]
+        return "one of " + ", ".join(map(repr, choices)), lambda v: v in choices
+    if len(rule) == 2:
+        (lo_key, lo), (hi_key, hi) = rule.items()
+        want = f"in {'[' if lo_key == 'ge' else '('}{lo}, {hi}{']' if hi_key == 'le' else ')'}"
+    else:
+        ((key, bound),) = rule.items()
+        want = f"{_SYMBOLS[key]} {bound}"
+    tests = [(getattr(operator, key), bound) for key, bound in rule.items()]
+    return want, lambda v: all(op(v, bound) for op, bound in tests)
+
+
+@functools.cache
+def _field_checks(cls) -> tuple:
+    """(name, checks, optional) of each field of config class cls, resolved
+    once per class: checks are the (what a value must be, test) pairs of
+    its annotation, then of its declared rule."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        kinds = typing.get_args(hints[f.name]) or (hints[f.name],)  # a union's classes
+        checks = [_TYPES[kinds[0]]] if kinds[0] in _TYPES else []
+        if all(issubclass(k, _Config) for k in kinds):
+            names = " or ".join(k.__name__ for k in kinds)
+            checks.append((f"a {names}", lambda v, kinds=kinds: isinstance(v, kinds)))
+        if f.metadata:
+            checks.append(_rule_check(f.metadata))
+        out.append((f.name, tuple(checks), type(None) in kinds))
+    return tuple(out)
+
+
+def _check_fields(config) -> None:
+    """Raise ValueError, "{name} must be {rule}, got {value!r}", for the
+    first field of config whose value does not fit its annotation (a bool,
+    int, float or str, or config classes) or its declared rule. None fits
+    an optional field."""
+    for name, checks, optional in _field_checks(type(config)):
+        value = getattr(config, name)
+        for want, fits in checks:
+            if not (value is None and optional or fits(value)):
+                raise ValueError(f"{name} must be {want}, got {value!r}")
+
+
+class _Config:
+    """Base of the config dataclasses. A subclass's __post_init__ calls this
+    one and adds only rules that span fields or are not bounds."""
+
+    def __post_init__(self) -> None:
+        _check_fields(self)
 
 
 class PhaseMode(str, Enum):
@@ -143,39 +191,20 @@ class PhaseMode(str, Enum):
 
 
 @dataclass(frozen=True)
-class SensorConfig:
-    width: int = 1280
-    active_rows: int = 800
-    optical_black_rows: int = 0
-    blanking_rows: int = 12
-    fps: float = 30.0
-    pedestal_dn: float = 16.0    # keeps negative excursions off the 0 clamp
-    dn_per_volt: float = MAX_DN / 3.3
-    channels: int = 1
+class SensorConfig(_Config):
+    width: int = _bounded(1280, ge=1)
+    active_rows: int = _bounded(800, ge=1)
+    optical_black_rows: int = _bounded(0, ge=0)
+    blanking_rows: int = _bounded(12, ge=0)
+    fps: float = _bounded(30.0, gt=0)
+    pedestal_dn: float = _bounded(16.0, ge=0, le=MAX_DN)  # keeps negatives off the 0 clamp
+    dn_per_volt: float = _bounded(MAX_DN / 3.3, gt=0)
+    channels: int = _bounded(1, choices=(1, 3))
 
     # Keys that older documents carry for a field that had one legal
     # value: key -> (field type, value). _build_section drops such a key
     # when it holds that value and rejects any other.
-    _retired_keys = {"bit_depth": ("int", 8)}
-
-    def __post_init__(self) -> None:
-        _check_field_types(self)
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
-        if self.active_rows < 1:
-            raise ValueError(f"active_rows must be >= 1, got {self.active_rows}")
-        if self.optical_black_rows < 0:
-            raise ValueError(f"optical_black_rows must be >= 0, got {self.optical_black_rows}")
-        if self.blanking_rows < 0:
-            raise ValueError(f"blanking_rows must be >= 0, got {self.blanking_rows}")
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
-        if not 0 <= self.pedestal_dn <= MAX_DN:
-            raise ValueError(f"pedestal_dn must be in [0, {MAX_DN}], got {self.pedestal_dn}")
-        if self.dn_per_volt <= 0:
-            raise ValueError(f"dn_per_volt must be positive, got {self.dn_per_volt}")
-        if self.channels not in (1, 3):
-            raise ValueError(f"channels must be 1 or 3, got {self.channels}")
+    _retired_keys = {"bit_depth": (int, 8)}
 
     @property
     def readout_rows(self) -> int:
@@ -193,85 +222,56 @@ class SensorConfig:
 
 
 @dataclass(frozen=True)
-class SupplyNoiseConfig:
-    frequency_hz: float = 0.0
-    amplitude_vpp: float = 0.0
+class SupplyNoiseConfig(_Config):
+    frequency_hz: float = _bounded(0.0, ge=0)
+    amplitude_vpp: float = _bounded(0.0, ge=0)
     phase_rad: float = 0.0
     coupling_gain: float = 1.0
-    phase_mode: PhaseMode = PhaseMode.CONTINUOUS
-    rc_cutoff_hz: float | None = None  # first-order low-pass ahead of the rail
+    phase_mode: PhaseMode = _bounded(PhaseMode.CONTINUOUS, choices=[m.value for m in PhaseMode])
+    rc_cutoff_hz: float | None = _bounded(None, gt=0)  # first-order low-pass ahead of the rail
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
-        if self.frequency_hz < 0:
-            raise ValueError(f"frequency_hz must be >= 0, got {self.frequency_hz}")
-        if self.amplitude_vpp < 0:
-            raise ValueError(f"amplitude_vpp must be >= 0, got {self.amplitude_vpp}")
-        if self.rc_cutoff_hz is not None and self.rc_cutoff_hz <= 0:
-            raise ValueError(f"rc_cutoff_hz must be positive, got {self.rc_cutoff_hz}")
-        if not isinstance(self.phase_mode, PhaseMode):
-            object.__setattr__(self, "phase_mode", PhaseMode(self.phase_mode))
+        super().__post_init__()
+        object.__setattr__(self, "phase_mode", PhaseMode(self.phase_mode))
 
 
 @dataclass(frozen=True)
-class TemporalNoiseConfig:
+class TemporalNoiseConfig(_Config):
     shot_enabled: bool = False
-    dark_signal_e: float = 0.0
-    read_noise_dn: float = 0.0
+    dark_signal_e: float = _bounded(0.0, ge=0, le=MAX_POISSON_MEAN)
+    read_noise_dn: float = _bounded(0.0, ge=0)
     flicker_enabled: bool = False
-    flicker_scale_dn: float = 0.0
+    flicker_scale_dn: float = _bounded(0.0, ge=0)
     reset_enabled: bool = False
-    reset_temp_k: float = 300.0
-    reset_cap_f: float = 5e-15
+    reset_temp_k: float = _bounded(300.0, gt=0)
+    reset_cap_f: float = _bounded(5e-15, gt=0)
     cds_enabled: bool = False
 
-    def __post_init__(self) -> None:
-        _check_field_types(self)
-        if not 0 <= self.dark_signal_e <= MAX_POISSON_MEAN:
-            raise ValueError(f"dark_signal_e must be in [0, {MAX_POISSON_MEAN}], "
-                             f"got {self.dark_signal_e}")
-        if self.read_noise_dn < 0:
-            raise ValueError(f"read_noise_dn must be >= 0, got {self.read_noise_dn}")
-        if self.flicker_scale_dn < 0:
-            raise ValueError(f"flicker_scale_dn must be >= 0, got {self.flicker_scale_dn}")
-        if self.reset_temp_k <= 0:
-            raise ValueError(f"reset_temp_k must be positive, got {self.reset_temp_k}")
-        if self.reset_cap_f <= 0:
-            raise ValueError(f"reset_cap_f must be positive, got {self.reset_cap_f}")
-
 
 @dataclass(frozen=True)
-class SpatialNoiseConfig:
-    dsnu_dn: float = 0.0        # per-pixel offset sigma, frozen per seed
-    column_fpn_dn: float = 0.0  # per-column offset sigma, constant down rows
+class SpatialNoiseConfig(_Config):
+    dsnu_dn: float = _bounded(0.0, ge=0)        # per-pixel offset sigma, frozen per seed
+    column_fpn_dn: float = _bounded(0.0, ge=0)  # per-column offset sigma, constant down rows
     prnu_fraction: float = 0.0  # gain sigma; must be 0 at 0 lux (see module doc)
 
     def __post_init__(self) -> None:
-        if self.prnu_fraction != 0:
+        # Any number but 0, nan included, gets the reason; a non-number the type message.
+        if _is_real(self.prnu_fraction) and self.prnu_fraction != 0:
             raise ValueError(
                 f"prnu_fraction must be 0, got {self.prnu_fraction}: illumination is "
                 "not modelled (captures are dark), so there is no photo signal for "
                 "PRNU to scale"
             )
-        _check_field_types(self)
-        if self.dsnu_dn < 0:
-            raise ValueError(f"dsnu_dn must be >= 0, got {self.dsnu_dn}")
-        if self.column_fpn_dn < 0:
-            raise ValueError(f"column_fpn_dn must be >= 0, got {self.column_fpn_dn}")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class SimScenario:
+class SimScenario(_Config):
     sensor: SensorConfig = field(default_factory=SensorConfig)
     supply: SupplyNoiseConfig = field(default_factory=SupplyNoiseConfig)
     temporal: TemporalNoiseConfig = field(default_factory=TemporalNoiseConfig)
     spatial: SpatialNoiseConfig = field(default_factory=SpatialNoiseConfig)
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        _check_field_types(self)
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+    seed: int = _bounded(0, ge=0, lt=2**64)
 
 
 @dataclass
@@ -603,7 +603,7 @@ def _build_section(cls, section, name: str, **parts):
     for key, (kind, legal) in getattr(cls, "_retired_keys", {}).items():
         if key in section:
             value = section.pop(key)
-            if not (_FIELD_TYPES[kind][1](value) and value == legal):
+            if not (_TYPES[kind][1](value) and value == legal):
                 raise ValueError(f"{key} is retired and may only be {legal}, got {value!r}")
     unknown = set(section) - {f.name for f in fields(cls)}
     if unknown:

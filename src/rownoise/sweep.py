@@ -29,7 +29,7 @@ import numpy as np
 
 from . import imageio, physics
 from .metric import row_noise
-from .sensor import SimScenario, _build_section, _check_field_types, _frame_stream
+from .sensor import SimScenario, _bounded, _build_section, _Config, _frame_stream
 from .sensor import generate_fpn_maps
 from .sensor import simulate_stack  # noqa: F401  bench/test_bench.py traces sweep.simulate_stack
 
@@ -67,12 +67,12 @@ class CaptureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SimulateSource:
+class SimulateSource(_Config):
     scenario: SimScenario = field(default_factory=SimScenario)
 
 
 @dataclass(frozen=True)
-class CaptureSource:
+class CaptureSource(_Config):
     """External capture command, run once per frequency step.
 
     command is a shell template with {freq} (integer Hz) and {amp}
@@ -86,7 +86,7 @@ class CaptureSource:
     pattern: str = "im*"
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
+        super().__post_init__()
         if not isinstance(self.image_dir, (str, Path)):
             raise ValueError(f"image_dir must be a path, got {self.image_dir!r}")
         object.__setattr__(self, "image_dir", Path(self.image_dir))
@@ -99,31 +99,21 @@ class CaptureSource:
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    start_hz: float = 50.0
+class SweepConfig(_Config):
+    start_hz: float = _bounded(50.0, gt=0)
     end_hz: float = 1_000_000.0
-    step_hz: float = 1000.0
-    amplitude_vpp: float = 1.0
-    frames_per_step: int = 3
+    step_hz: float = _bounded(1000.0, gt=0)
+    amplitude_vpp: float = _bounded(1.0, ge=0)
+    frames_per_step: int = _bounded(3, ge=1)
     source: SimulateSource | CaptureSource = field(default_factory=SimulateSource)
-    seed: int = 0
+    seed: int = _bounded(0, ge=0)
 
-    _retired_keys = {"workers": ("int", 1)}  # as SensorConfig._retired_keys
+    _retired_keys = {"workers": (int, 1)}  # as SensorConfig._retired_keys
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
-        if self.start_hz <= 0:
-            raise ValueError(f"start_hz must be positive, got {self.start_hz}")
+        super().__post_init__()
         if self.end_hz < self.start_hz:
             raise ValueError(f"end_hz must be >= start_hz ({self.start_hz}), got {self.end_hz}")
-        if self.step_hz <= 0:
-            raise ValueError(f"step_hz must be positive, got {self.step_hz}")
-        if self.amplitude_vpp < 0:
-            raise ValueError(f"amplitude_vpp must be >= 0, got {self.amplitude_vpp}")
-        if self.frames_per_step < 1:
-            raise ValueError(f"frames_per_step must be >= 1, got {self.frames_per_step}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if isinstance(self.source, SimulateSource):
             sc = self.source.scenario
             given = {"supply.frequency_hz": sc.supply.frequency_hz,
@@ -132,16 +122,12 @@ class SweepConfig:
             if named:
                 raise ValueError(f"the scenario's {', '.join(named)} must be 0 in a simulated "
                                  "sweep, which sets frequency, amplitude and seed at each point")
-        elif isinstance(self.source, CaptureSource):
+        else:
             named = [f.name for f in fields(self) if f.name in ("frames_per_step", "seed")
                      and getattr(self, f.name) != f.default]
             if named:
                 raise ValueError(f"{', '.join(named)} must keep the default in a capture sweep, "
                                  "which reads the images the capture command writes")
-        else:
-            raise ValueError(
-                f"source must be a SimulateSource or CaptureSource, got {self.source!r}"
-            )
 
 
 def _step_seed(seed: int, index: int) -> int:
@@ -243,30 +229,24 @@ def read_csv(path: str | Path) -> list[tuple[float, float]]:
 
 
 @dataclass(frozen=True)
-class Absolute:
+class Absolute(_Config):
     """Fixed row-noise threshold in DN."""
 
     value: float
 
     def __post_init__(self) -> None:
-        _check_field_types(self)
+        super().__post_init__()
+        # Not a declared bound, so that the message names --threshold.
         if self.value < 0:
             raise ValueError(f"threshold must be >= 0, got {self.value}")
 
 
 @dataclass(frozen=True)
-class BaselineSigma:
+class BaselineSigma(_Config):
     """Threshold = mean + k * sample std over the first `window` points."""
 
-    k: float = 5.0
-    window: int = 10
-
-    def __post_init__(self) -> None:
-        _check_field_types(self)
-        if self.k <= 0:
-            raise ValueError(f"k must be positive, got {self.k}")
-        if self.window < 2:
-            raise ValueError(f"window must be >= 2, got {self.window}")
+    k: float = _bounded(5.0, gt=0)
+    window: int = _bounded(10, ge=2)
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,12 @@ class TestSimulate:
         assert sidecar["scenario"]["supply"]["frequency_hz"] == 126000.0
         assert "prefix" not in sidecar  # frames are always named im<n>
 
+    def test_channels_outside_the_sensor_rule_is_usage_error(self, tmp_path, capsys):
+        # The library parser, not argparse, judges the value.
+        assert main(["simulate", *SMALL_FLAGS, "--channels", "2", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: channels must be one of 1, 3, got 2\n"
+        assert not list(tmp_path.iterdir())
+
     def test_nonzero_prnu_is_usage_error(self, tmp_path, capsys):
         assert main(["simulate", "--prnu", "0.01", "--out-dir", str(tmp_path)]) == 2
         assert "illumination is not modelled" in capsys.readouterr().err

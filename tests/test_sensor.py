@@ -1,10 +1,14 @@
 """Simulator behavior: supply coupling, timing, noise sources, determinism."""
 
+import dataclasses
 import importlib
+import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -34,7 +38,33 @@ from rownoise.sensor import (
     simulate_frame_analog,
     simulate_stack,
 )
+from rownoise import sweep as sweepmod
 from rownoise.sweep import sweep_config_from_json, sweep_config_to_json
+
+# The config classes the sensor and sweep modules export: those whose
+# fields the shared base checks.
+EXPORTED = [getattr(mod, name) for mod in (sensormod, sweepmod) for name in mod.__all__]
+CONFIGS = [c for c in EXPORTED if isinstance(c, type) and issubclass(c, sensormod._Config)]
+SYMBOLS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}
+OUT = {"ge": -1, "gt": -1, "le": 1, "lt": 1}  # the direction out of each bound's range
+
+
+def declared_rules():
+    """(class, field name, annotation, rule key, bound or choices) of each
+    rule a config field declares."""
+    for cls in CONFIGS:
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            for key, bound in f.metadata.items():
+                yield pytest.param(cls, f.name, hints[f.name], key, bound,
+                                   id=f"{cls.__name__}.{f.name}.{key}")
+
+
+def step(value, kind, direction):
+    """The next value of type kind (int or float) from value, up for
+    direction 1 and down for -1."""
+    return value + direction if kind is int else math.nextafter(value, direction * math.inf)
+
 
 # Small, fast geometry: frame length 100 rows at 30 fps -> 3 kHz line rate.
 SMALL = SensorConfig(width=16, active_rows=64, blanking_rows=36, pedestal_dn=128.0)
@@ -61,15 +91,6 @@ class TestConfigs:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"width": 0},
-            {"active_rows": 0},
-            {"optical_black_rows": -1},
-            {"blanking_rows": -1},
-            {"fps": 0.0},
-            {"pedestal_dn": -1.0},
-            {"pedestal_dn": 300.0},
-            {"dn_per_volt": 0.0},
-            {"channels": 2},
             {"width": 64.5},
             {"active_rows": 4.0},
             {"optical_black_rows": "2"},
@@ -85,17 +106,9 @@ class TestConfigs:
         with pytest.raises(ValueError):
             SensorConfig(**kwargs)
 
-    @pytest.mark.parametrize("name", ["optical_black_rows", "blanking_rows"])
-    def test_negative_row_count_names_its_value(self, name):
-        with pytest.raises(ValueError, match=rf"^{name} must be >= 0, got -3$"):
-            SensorConfig(**{name: -3})
-
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"frequency_hz": -1.0},
-            {"amplitude_vpp": -0.1},
-            {"rc_cutoff_hz": 0.0},
             {"frequency_hz": math.nan},
             {"amplitude_vpp": math.inf},
             {"phase_rad": math.nan},
@@ -111,14 +124,16 @@ class TestConfigs:
         cfg = SupplyNoiseConfig(phase_mode="random_per_frame")
         assert cfg.phase_mode is PhaseMode.RANDOM_PER_FRAME
 
+    @pytest.mark.parametrize("value", ["sideways", 3, None, ["x"]])
+    def test_phase_mode_outside_its_choices_names_the_field(self, value):
+        doc = {"supply": {"phase_mode": value}}
+        message = "^phase_mode must be one of 'continuous', 'random_per_frame', got "
+        with pytest.raises(ValueError, match=message + re.escape(repr(value)) + "$"):
+            scenario_from_json(json.dumps(doc))
+
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"dark_signal_e": -1.0},
-            {"read_noise_dn": -1.0},
-            {"flicker_scale_dn": -1.0},
-            {"reset_temp_k": 0.0},
-            {"reset_cap_f": 0.0},
             {"read_noise_dn": math.nan},
             {"reset_temp_k": math.inf},
             {"shot_enabled": "false"},
@@ -139,11 +154,6 @@ class TestConfigs:
         with pytest.raises(ValueError, match=r"dark_signal_e must be in \[0, 9\.2"):
             TemporalNoiseConfig(dark_signal_e=above)
 
-    @pytest.mark.parametrize("kwargs", [{"dsnu_dn": -1.0}, {"column_fpn_dn": -1.0}])
-    def test_spatial_validation(self, kwargs):
-        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be >= 0"):
-            SpatialNoiseConfig(**kwargs)
-
     def test_integers_fit_float_fields_and_null_cutoff_stays_valid(self):
         sc = scenario_from_json(
             '{"sensor": {"fps": 30, "pedestal_dn": 16},'
@@ -152,10 +162,62 @@ class TestConfigs:
         assert sc.sensor.fps == 30.0
         assert sc.supply.rc_cutoff_hz is None
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
-    def test_seed_range(self, seed):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "seed, want", [(1.5, "an integer"), *[(s, f"in [0, {2**64})") for s in (-1, 2**64)]]
+    )
+    def test_seed_range(self, seed, want):
+        with pytest.raises(ValueError, match=f"^seed must be {re.escape(want)}, got {seed}$"):
             SimScenario(seed=seed)
+
+    @pytest.mark.parametrize("cls, name, kind, key, bound", declared_rules())
+    def test_declared_rule_holds_at_its_bound(self, cls, name, kind, key, bound):
+        # The bound is accepted where the rule allows it, else the nearest
+        # value inside; the value just outside raises with the one message
+        # form, "{name} must be {rule}, got {value!r}".
+        rule = cls.__dataclass_fields__[name].metadata
+        if key == "choices":
+            inside, outside = bound, max(bound) + 1 if kind is int else "x"
+        elif key in ("ge", "le"):
+            inside, outside = [bound], step(bound, kind, OUT[key])
+        else:
+            inside, outside = [step(bound, kind, -OUT[key])], bound
+        for value in inside:
+            assert getattr(cls(**{name: value}), name) == value
+        with pytest.raises(ValueError) as err:
+            cls(**{name: outside})
+        said = re.fullmatch(rf"{name} must be (.+), got {re.escape(repr(outside))}", str(err.value))
+        assert said, str(err.value)
+        if key == "choices":
+            assert said[1] == "one of " + ", ".join(map(repr, bound))
+        elif len(rule) == 1:
+            assert said[1] == f"{SYMBOLS[key]} {bound}"
+        else:  # a lower and an upper bound
+            assert said[1].startswith("in ") and all(str(b) in said[1] for b in rule.values())
+
+    @pytest.mark.parametrize(
+        "cls, name, value, want",
+        [
+            (SimScenario, "sensor", "x", "a SensorConfig"),
+            (SimScenario, "supply", SensorConfig(), "a SupplyNoiseConfig"),
+            (SimScenario, "temporal", None, "a TemporalNoiseConfig"),
+            (SimScenario, "spatial", {}, "a SpatialNoiseConfig"),
+            (sweepmod.SimulateSource, "scenario", "x", "a SimScenario"),
+            *[(sweepmod.SweepConfig, "source", value, "a SimulateSource or CaptureSource")
+              for value in ("x", None, SimScenario())],
+        ],
+    )
+    def test_section_of_another_type_is_rejected(self, cls, name, value, want):
+        # Caught here, not as an AttributeError once the section is read.
+        message = f"^{name} must be {want}, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            cls(**{name: value})
+
+    def test_every_exported_config_class_checks_its_fields(self):
+        # Every dataclass the two modules export is a config, whose fields
+        # the shared base checks, or one of these results.
+        results = {Frame, sensormod.FpnMaps, sweepmod.CharacterizationReport}
+        exported = [c for c in EXPORTED if dataclasses.is_dataclass(c)]
+        assert set(CONFIGS) == set(exported) - results
 
     def test_frame_validation(self):
         with pytest.raises(ValueError):
@@ -701,6 +763,12 @@ class TestFixedPattern:
     def test_nonzero_prnu_rejected(self, fraction):
         with pytest.raises(ValueError, match="illumination is not modelled"):
             SpatialNoiseConfig(prnu_fraction=fraction)
+
+    @pytest.mark.parametrize("value", ["a", None, True])
+    def test_prnu_of_another_type_gets_the_type_message(self, value):
+        message = f"^prnu_fraction must be a finite number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            SpatialNoiseConfig(prnu_fraction=value)
 
     def test_dsnu_sigma_realized(self):
         sensor = SensorConfig(width=1280, active_rows=800)

@@ -54,22 +54,18 @@ def quiet_scenario(phase_rad=0.0):
 
 
 class TestGrid:
-    """SweepConfig checks: the grid, the run parameters and the scenario
+    """SweepConfig checks beyond the declared field bounds, which
+    tests/test_sensor.py walks: the grid, the run parameters and the scenario
     fields a sweep sets itself. The grid points are physics.frequency_grid's
     and are tested with it."""
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"start_hz": 0.0},
             {"start_hz": 100.0, "end_hz": 50.0},
-            {"step_hz": 0.0},
-            {"frames_per_step": 0},
-            {"amplitude_vpp": -1.0},
             {"frames_per_step": 1.5},
             {"end_hz": math.inf},
             {"step_hz": math.nan},
-            {"seed": -1},
         ],
     )
     def test_config_validation(self, kwargs):
@@ -80,15 +76,6 @@ class TestGrid:
         message = r"^end_hz must be >= start_hz \(100\.0\), got 50\.0$"
         with pytest.raises(ValueError, match=message):
             SweepConfig(start_hz=100.0, end_hz=50.0)
-
-    @pytest.mark.parametrize(
-        "source, shown", [("x", "'x'"), (None, "None"), (SimScenario(), "SimScenario(")]
-    )
-    def test_source_of_another_type_is_rejected(self, source, shown):
-        # Caught here, not as an AttributeError once run_sweep reads it.
-        message = "^source must be a SimulateSource or CaptureSource, got " + re.escape(shown)
-        with pytest.raises(ValueError, match=message):
-            SweepConfig(start_hz=100, end_hz=100, source=source)
 
     @pytest.mark.parametrize(
         "scenario, named",
@@ -464,13 +451,9 @@ class TestReport:
         with pytest.raises(ValueError):
             analyze_report([])
 
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
+    def test_negative_absolute_threshold_names_the_threshold(self):
+        with pytest.raises(ValueError, match=r"^threshold must be >= 0, got -0\.1$"):
             Absolute(-0.1)
-        with pytest.raises(ValueError):
-            BaselineSigma(k=0.0)
-        with pytest.raises(ValueError):
-            BaselineSigma(window=1)
 
     @pytest.mark.parametrize(
         "make",
