@@ -256,11 +256,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.threshold is not None and (args.sigma_k is not None or args.window is not None):
         raise UsageError("--threshold excludes --sigma-k/--window")
     points = sweepmod.read_csv(args.csv)
-    if args.threshold is not None:
-        mode: sweepmod.Absolute | sweepmod.BaselineSigma = sweepmod.Absolute(args.threshold)
-    else:
-        given = {"k": args.sigma_k, "window": args.window}
-        mode = sweepmod.BaselineSigma(**{k: v for k, v in given.items() if v is not None})
+    kind = sweepmod.Absolute if args.threshold is not None else sweepmod.BaselineSigma
+    given = {"value": args.threshold, "k": args.sigma_k, "window": args.window}
+    try:
+        mode = kind(**{k: v for k, v in given.items() if v is not None})
+    except ValueError as exc:  # the field checks name the fields, not the flags
+        field, rest = str(exc).split(" ", 1)
+        flag = {"value": "--threshold", "k": "--sigma-k", "window": "--window"}.get(field, field)
+        raise UsageError(f"{flag} {rest}") from None
     report = sweepmod.analyze_report(points, mode)
     text = report.to_text()
     sys.stdout.write(text)

@@ -54,13 +54,10 @@ def write_image(frame: Frame, path: str | Path) -> None:
     expected = image_suffix(frame.channels)
     if path.suffix.lower() != expected:
         raise ValueError(f"{frame.channels}-channel frames write {expected}, got {path.name!r}")
-    if frame.channels == 1:
-        magic, payload = b"P5", frame.pixels[0].tobytes()
-    else:
-        # P6 interleaves RGB per pixel.
-        magic, payload = b"P6", np.transpose(frame.pixels, (1, 2, 0)).tobytes()
-    header = b"%s\n%d %d\n255\n" % (magic, frame.width, frame.rows)
-    path.write_bytes(header + payload)
+    magic = b"P5" if frame.channels == 1 else b"P6"  # P6 interleaves RGB per pixel
+    with path.open("wb") as f:
+        f.write(b"%s\n%d %d\n255\n" % (magic, frame.width, frame.rows))
+        f.write(np.ascontiguousarray(np.transpose(frame.pixels, (1, 2, 0))))
 
 
 def read_image(path: str | Path) -> Frame:
@@ -90,6 +87,14 @@ def read_stack(paths) -> Iterator[Frame]:
         yield frame
 
 
+def _samples(data: bytes, offset: int, need: int, path: Path, what: str) -> np.ndarray:
+    """The need bytes of data from offset, as a uint8 view, not a copy."""
+    have = max(0, len(data) - offset)
+    if have < need:
+        raise ImageParseError(f"{path}: {what} truncated, need {need} bytes, have {have}")
+    return np.frombuffer(data, np.uint8, need, offset)
+
+
 def _read_pnm(data: bytes, path: Path) -> Frame:
     channels = 1 if data[:2] == b"P5" else 3
     pos = 2
@@ -117,13 +122,8 @@ def _read_pnm(data: bytes, path: Path) -> Frame:
         raise ImageParseError(f"{path}: bad dimensions {width}x{rows}")
     if maxval != 255:
         raise ImageParseError(f"{path}: unsupported maxval {maxval}, need 255")
-    need = width * rows * channels
-    payload = data[pos : pos + need]
-    if len(payload) < need:
-        raise ImageParseError(
-            f"{path}: payload truncated, need {need} bytes, have {len(payload)}"
-        )
-    grid = np.frombuffer(payload, dtype=np.uint8).reshape(rows, width, channels)
+    grid = _samples(data, pos, width * rows * channels, path, "payload")
+    grid = grid.reshape(rows, width, channels)
     return Frame(pixels=np.ascontiguousarray(np.transpose(grid, (2, 0, 1))))
 
 
@@ -150,13 +150,8 @@ def _read_bmp(data: bytes, path: Path) -> Frame:
     bottom_up = height > 0
     rows = abs(height)
     row_bytes = (width * 3 + 3) & ~3  # rows padded to 4-byte boundaries
-    need = rows * row_bytes
-    payload = data[pixel_offset : pixel_offset + need]
-    if len(payload) < need:
-        raise ImageParseError(
-            f"{path}: pixel data truncated, need {need} bytes, have {len(payload)}"
-        )
-    raw = np.frombuffer(payload, dtype=np.uint8).reshape(rows, row_bytes)
+    raw = _samples(data, pixel_offset, rows * row_bytes, path, "pixel data")
+    raw = raw.reshape(rows, row_bytes)
     bgr = raw[:, : width * 3].reshape(rows, width, 3)
     if bottom_up:
         bgr = bgr[::-1]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .physics import UNIFORM
-from .sensor import Frame
+from .sensor import MAX_DN, Frame
 
 __all__ = [
     "RowNoiseResult",
@@ -45,9 +45,8 @@ class RowNoiseResult:
 
 def row_means(frame: Frame) -> np.ndarray:
     """Per-channel row means, shape (channels, rows)."""
-    # Integer row sums are exact (far below 2**53), so this equals the
-    # float64 mean bit for bit without a float copy of the frame.
-    return frame.pixels.sum(axis=2, dtype=np.uint64) / frame.width
+    # Exact integer sums in the narrowest type for MAX_DN * width: the float64 mean, bit for bit.
+    return frame.pixels.sum(axis=2, dtype=np.min_scalar_type(MAX_DN * frame.width)) / frame.width
 
 
 def row_noise_single(frame: Frame) -> float:

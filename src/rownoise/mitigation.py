@@ -45,9 +45,9 @@ __all__ = [
 
 TUNE_FPS_STEP = 0.01  # fps spacing of the tune grid
 MAX_TUNE_CANDIDATES = 10**8  # most (fps, frame length) pairs one search may try
+_SEARCH_CHUNK = 1 << 12  # about how many candidates the tune search folds at once
 MAX_KERNEL_ROWS = 4095  # tallest lowpass kernel: any odd one a 4096-row frame takes
-# Pixels per row-block the network and the row median work on, so the
-# network's views and the median's counts stay in cache.
+# Pixels per row-block view the network works on, so its views stay in cache.
 NETWORK_BLOCK_PIXELS = 1 << 16
 
 
@@ -170,29 +170,14 @@ def _network_median(pixels: np.ndarray, k: int) -> np.ndarray:
 
 
 def _twice_row_medians(residue: np.ndarray) -> np.ndarray:
-    """Twice the median of each row of an integer (channels, rows, width)
+    """Twice the median of each row of an int16 (channels, rows, width)
     array, exact, as int16 (channels, rows): the sum of the row's two
-    middle values, which are one value when the width is odd.
-
-    Each block of whole rows, about NETWORK_BLOCK_PIXELS values, is
-    counted with one bincount over (row, value - lo), lo..hi being the
-    block's own range. In the running count, the i-th smallest value of
-    row r is the first bin whose count exceeds r * width + i.
+    middle values, which are one value when the width is odd. Sorts the
+    rows of residue in place.
     """
-    channels, rows, width = residue.shape
-    flat = residue.reshape(-1, width)
-    twice = np.empty(len(flat), dtype=np.int16)
-    block = max(1, NETWORK_BLOCK_PIXELS // width)
-    for start in range(0, len(flat), block):
-        part = flat[start:start + block]
-        lo = int(part.min())
-        row_bins = np.arange(len(part)) * (int(part.max()) - lo + 1)  # first bin of each row
-        counts = np.bincount((part + (row_bins - lo)[:, None]).ravel()).cumsum()
-        ahead = np.arange(len(part)) * width  # values in the block's rows above
-        middle = np.searchsorted(counts, ahead + (width - 1) // 2, side="right")
-        middle += np.searchsorted(counts, ahead + width // 2, side="right")
-        twice[start:start + block] = middle - 2 * (row_bins - lo)
-    return twice.reshape(channels, rows)
+    width = residue.shape[-1]
+    residue.sort(axis=-1)
+    return residue[..., (width - 1) // 2] + residue[..., width // 2]
 
 
 def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
@@ -208,8 +193,8 @@ def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
     The running median is one comparator network route for every kernel
     (_network_median), whose cost grows about as sqrt(k) log^2 k per
     pixel; kernels above MAX_KERNEL_ROWS are rejected before any network
-    is built. The residue is exact in int16, and each row's median is
-    read off counts of its values (_twice_row_medians) as twice the
+    is built. The residue is exact in int16, and each row's median comes
+    from the row sorted in place (_twice_row_medians) as twice the
     median, an integer, so the offset is subtracted and rounded half up
     with no float step.
     """
@@ -266,17 +251,8 @@ def recommend_tuning(
             f"{len(fps_grid)} fps points x {n_lengths} frame lengths are {n_candidates} "
             f"tune candidates, more than the cap of {MAX_TUNE_CANDIDATES}"
         )
-    lengths = range(fl_lo, fl_hi + 1)
-    if TuningMode(mode) is TuningMode.SYNC:
-        # min picks the lowest alias, then the lowest fps and frame length.
-        def best_fps(frame_length: int) -> tuple[float, float, int]:
-            aliases = physics.fold_frequency(f_noise_hz, fps_grid * frame_length)
-            idx = int(np.argmin(aliases))
-            return float(aliases[idx]), float(fps_grid[idx]), frame_length
-
-        _, fps, frame_length = min(best_fps(fl) for fl in lengths)
-    else:
-        fps, frame_length = _max_separation(f_noise_hz, fps_grid, lengths)
+    maximize = TuningMode(mode) is TuningMode.MAX_SEPARATION
+    fps, frame_length = _search(f_noise_hz, fps_grid, range(fl_lo, fl_hi + 1), maximize)
     f_line = physics.line_frequency(fps, frame_length)
     band = physics.alias_and_band_height(f_noise_hz, f_line)
     return TuningRecommendation(
@@ -287,26 +263,53 @@ def recommend_tuning(
     )
 
 
-def _max_separation(f_noise_hz: float, fps_grid: np.ndarray, lengths: range) -> tuple[float, int]:
-    """The (fps, frame length) of the grid whose alias is largest, ties to
-    the lower fps, then the lower frame length.
+def _search(f: float, fps_grid: np.ndarray, lengths: range, maximize: bool) -> tuple[float, int]:
+    """The (fps, frame length) of the grid with the largest alias when
+    maximize, else the smallest, ties to the lower fps, then the lower
+    frame length: the exhaustive search's answer.
 
-    A fold never exceeds half its line rate, and for fps_grid * L below
-    twice the best alias so far that half is strictly below it. Walking
-    the lengths from the longest, which raise the best alias soonest,
-    each length folds only the ascending grid's line rates from the
-    first that reaches twice the best. Every candidate skipped is
-    strictly worse, so the answer is the exhaustive search's."""
-    best = (0.0, math.inf, 0)  # (-alias, fps, frame length): min is the answer
-    for frame_length in reversed(lengths):
-        lines = fps_grid * frame_length
-        first = int(np.searchsorted(lines, -2.0 * best[0]))
-        if first == len(lines):
-            continue
-        aliases = physics.fold_frequency(f_noise_hz, lines[first:])
-        idx = int(np.argmax(aliases))
-        best = min(best, (-float(aliases[idx]), float(fps_grid[first + idx]), frame_length))
-    return best[1], best[2]
+    At a fixed length L the fold of f against fps * L is linear between
+    the breakpoints 2f/j, a peak f/j at odd j and a zero at even j, and
+    weakly monotone there in float too (fmod is exact, line - r rounds
+    monotonically). So only the grid points within two places of a peak
+    (a zero, for the smallest) and the grid ends are folded, skipping
+    peaks below the best alias so far, in chunks of about _SEARCH_CHUNK
+    candidates. Such a candidate costs about four whole-grid folds, so a
+    chunk whose first length has over n/4 of them folds its whole grid.
+    """
+    fps_grid = fps_grid[np.diff(fps_grid, prepend=-math.inf) > 0]  # equal fps, equal candidates
+    n, lo, hi = len(fps_grid), float(fps_grid[0]), float(fps_grid[-1])
+    rows = np.array(lengths, dtype=np.float64)  # each length as numpy rounds it, past 2**63 too
+    sign, parity = (-1.0, 1) if maximize else (1.0, 2)  # parity: the mode's lowest j
+    best, start = (math.inf, math.inf, 0), 0  # (sign * alias, fps, place in lengths)
+    while start < len(rows):
+        # The largest j of a peak that can still win, and of the chunk: inf or nan when huge.
+        cap = f / -best[0] * (1 + 1e-9) + 1 if best[0] < 0 else math.inf
+        top = min(2 * f / (lo * float(rows[start])), cap)
+        if not (top < 2.0**52 and 4 * (2 * (top - 2 * f / (hi * float(rows[start]))) + 10) < n):
+            chunk = np.arange(start, min(len(rows), start + max(1, _SEARCH_CHUNK // n)))
+            index, place = np.tile(np.arange(n), len(chunk)), np.repeat(chunk, n)
+        else:
+            chunk = np.arange(start, min(len(rows), start + _SEARCH_CHUNK))
+            first = np.maximum(parity, np.floor(2 * f / (hi * rows[chunk])))
+            first -= (first - parity) % 2
+            last = np.minimum(np.ceil(2 * f / (lo * rows[chunk])), cap)
+            count = np.maximum(0, (last - first) // 2 + 1).astype(np.int64)
+            take = max(1, int(np.searchsorted(np.cumsum(4 * count + 2), _SEARCH_CHUNK, "right")))
+            chunk, first, count = chunk[:take], first[:take], count[:take]
+            place = np.repeat(chunk, count)
+            j = np.repeat(first - 2 * (np.cumsum(count) - count), count)
+            j += 2 * np.arange(len(j))
+            near = np.searchsorted(fps_grid, 2 * f / j / rows[place])[:, None] + np.arange(-2, 2)
+            index = np.concatenate([near.ravel(), 0 * chunk, 0 * chunk + n - 1]).clip(0, n - 1)
+            place = np.concatenate([np.repeat(place, 4), chunk, chunk])
+        fps = fps_grid[index]
+        score = sign * physics.fold_frequency(f, fps * rows[place])
+        tied = np.flatnonzero(score == score.min())
+        tied = tied[fps[tied] == fps[tied].min()]
+        best = min(best, (float(score[tied[0]]), float(fps[tied[0]]), int(place[tied].min())))
+        start = int(chunk[-1]) + 1
+    return best[1], lengths[best[2]]
 
 
 def predict_filter_effect(freq_hz: float, cutoff_hz: float) -> float:

@@ -4,8 +4,8 @@ oracle_row_noise is brute-force row noise: plain nested loops, free of
 numpy and of any helper shared with rownoise.metric, so a fault in the
 vectorized path cannot hide in both. oracle_simulate_frame_analog draws
 each noise substream whole and adds the terms one at a time.
-oracle_max_separation folds every candidate of the tune grid, where
-rownoise.mitigation prunes the ones that cannot win.
+oracle_max_separation and oracle_sync fold every candidate of the tune
+grid, where rownoise.mitigation folds only those near a fold breakpoint.
 """
 
 import math
@@ -75,15 +75,28 @@ def oracle_simulate_frame_analog(scenario, frame_index):
     return analog
 
 
-def oracle_max_separation(f_noise_hz, fps_range, frame_length_range):
-    """(fps, frame length) that rownoise.mitigation.recommend_tuning picks
-    in MAX_SEPARATION mode, by folding every grid candidate: the largest
-    alias, ties to the lower fps, then the lower frame length."""
+def _oracle_tune(f_noise_hz, fps_range, frame_length_range, sign):
+    """The (fps, frame length) of the tune grid whose sign * alias is
+    smallest, ties to the lower fps, then the lower frame length."""
     fps_grid = np.array(physics.frequency_grid(*fps_range, TUNE_FPS_STEP))
     best = None
     for frame_length in range(frame_length_range[0], frame_length_range[1] + 1):
-        score = -physics.fold_frequency(f_noise_hz, fps_grid * frame_length)
+        score = sign * physics.fold_frequency(f_noise_hz, fps_grid * frame_length)
         idx = int(np.argmin(score))
         candidate = (float(score[idx]), float(fps_grid[idx]), frame_length)
         best = candidate if best is None else min(best, candidate)
     return best[1], best[2]
+
+
+def oracle_max_separation(f_noise_hz, fps_range, frame_length_range):
+    """(fps, frame length) that rownoise.mitigation.recommend_tuning picks
+    in MAX_SEPARATION mode, by folding every grid candidate: the largest
+    alias, ties to the lower fps, then the lower frame length."""
+    return _oracle_tune(f_noise_hz, fps_range, frame_length_range, -1.0)
+
+
+def oracle_sync(f_noise_hz, fps_range, frame_length_range):
+    """(fps, frame length) that rownoise.mitigation.recommend_tuning picks
+    in SYNC mode, by folding every grid candidate: the smallest alias,
+    ties to the lower fps, then the lower frame length."""
+    return _oracle_tune(f_noise_hz, fps_range, frame_length_range, 1.0)

@@ -1000,6 +1000,22 @@ class TestReportCli:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--threshold=nan"], "error: --threshold must be a finite number, got nan\n"),
+            (["--threshold=-1"], "error: threshold must be >= 0, got -1.0\n"),
+            (["--sigma-k=0"], "error: --sigma-k must be > 0, got 0.0\n"),
+            (["--window=1"], "error: --window must be >= 2, got 1\n"),
+        ],
+        ids=["threshold", "threshold_negative", "sigma_k", "window"],
+    )
+    def test_bad_threshold_error_names_the_flag(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "report.json"
+        assert main(["report", "--csv", str(bump_csv(tmp_path)), *flags, "--json", str(out)]) == 2
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
+
     def test_overflowing_baseline_is_usage_error_naming_it(self, tmp_path, capsys):
         csv = tmp_path / "huge.csv"
         csv.write_text("frequency_hz,row_noise\n100,1e308\n200,1e308\n")

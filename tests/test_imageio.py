@@ -54,6 +54,20 @@ class TestWriter:
         write_image(frame, path)
         assert path.read_bytes() == b"P6\n2 1\n255\n" + bytes((1, 3, 5, 2, 4, 6))
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_bytes_equal_header_plus_interleaved_pixels(self, tmp_path, channels, contiguous):
+        # The layout the writer had when it joined header and payload in memory.
+        pixels = np.random.default_rng(channels).integers(0, 256, (channels, 30, 42), np.uint8)
+        if not contiguous:
+            pixels = pixels[:, ::2, 1::3]
+        frame = Frame(pixels=pixels)
+        path = tmp_path / f"x{'.pgm' if channels == 1 else '.ppm'}"
+        write_image(frame, path)
+        magic = b"P5" if channels == 1 else b"P6"
+        header = b"%s\n%d %d\n255\n" % (magic, frame.width, frame.rows)
+        assert path.read_bytes() == header + np.transpose(pixels, (1, 2, 0)).tobytes()
+
     def test_single_channel_to_ppm_rejected(self, make_frame, tmp_path):
         with pytest.raises(ValueError):
             write_image(make_frame([[0]]), tmp_path / "x.ppm")
@@ -107,8 +121,13 @@ class TestPnmReader:
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n4 4\n255\n\x00\x01")
-        with pytest.raises(ImageParseError):
+        with pytest.raises(ImageParseError, match="need 16 bytes, have 2"):
             read_image(path)
+
+    def test_trailing_bytes_after_the_payload_are_ignored(self, tmp_path):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5\n2 1\n255\n\x07\x09trailing")
+        assert read_image(path).pixels.tolist() == [[[7, 9]]]
 
     def test_unknown_magic_rejected(self, tmp_path):
         path = tmp_path / "odd.pgm"
@@ -193,7 +212,7 @@ class TestBmpReader:
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "cut.bmp"
         path.write_bytes(_bmp_bytes(4, 4, [[(0, 0, 0)] * 4] * 4)[:-10])
-        with pytest.raises(ImageParseError):
+        with pytest.raises(ImageParseError, match="pixel data truncated, need 48 bytes, have 38"):
             read_image(path)
 
 

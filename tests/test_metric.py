@@ -44,6 +44,20 @@ class TestRowMeans:
         expected = pixels.astype(np.float64).mean(axis=2)
         assert np.array_equal(row_means(Frame(pixels=pixels)), expected)
 
+    @pytest.mark.parametrize("width", [257, 258])
+    def test_equals_float_mean_on_each_side_of_the_uint16_sums(self, width):
+        # 255 * 257 is the largest uint16, so the row sums widen at 258.
+        pixels = np.full((2, 3, width), 255, dtype=np.uint8)
+        pixels[1] = np.random.default_rng(width).integers(0, 256, (3, width), dtype=np.uint8)
+        expected = pixels.astype(np.float64).mean(axis=2)
+        assert np.array_equal(row_means(Frame(pixels=pixels)), expected)
+
+    @pytest.mark.parametrize("width", [16_843_009, 16_843_010])
+    def test_equals_float_mean_on_each_side_of_the_uint32_sums(self, width):
+        # 255 * 16843009 is the largest uint32. A zero-stride row allocates nothing.
+        pixels = np.broadcast_to(np.uint8(255), (1, 1, width))
+        assert row_means(Frame(pixels=pixels)).tolist() == [[255.0]]
+
     def test_per_channel(self):
         pixels = np.zeros((3, 2, 4), dtype=np.uint8)
         pixels[2] = 100

@@ -2,12 +2,13 @@
 and the RC filter prediction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from oracle import oracle_max_separation
+from oracle import oracle_max_separation, oracle_sync
 from scipy.ndimage import median_filter
 
 from rownoise.metric import row_noise_single
@@ -37,6 +38,7 @@ from rownoise.sensor import (
     simulate_frame,
 )
 
+ORACLES = {TuningMode.SYNC: oracle_sync, TuningMode.MAX_SEPARATION: oracle_max_separation}
 SENSOR = SensorConfig(width=64, active_rows=64, blanking_rows=36, pedestal_dn=128.0)
 F_LINE = SENSOR.line_frequency_hz  # 3000 Hz
 
@@ -107,6 +109,15 @@ class TestLowpassSuppress:
         fixed = lowpass_offset_suppress(frame, 9)
         assert np.array_equal(fixed.pixels, frame.pixels)
 
+    @pytest.mark.parametrize("width", [1, 24, 23])
+    def test_input_pixels_are_left_unchanged(self, width):
+        # The row medians sort the residue in place; the frame's own pixels
+        # must come through untouched.
+        pixels = banded_frame(freq_mult=1.37).pixels[:, :, :width].copy()
+        before = pixels.copy()
+        lowpass_offset_suppress(Frame(pixels=pixels), 9)
+        assert np.array_equal(pixels, before)
+
     def test_frame_of_no_channels_is_returned_empty(self):
         frame = Frame(pixels=np.zeros((0, 9, 4), dtype=np.uint8))
         assert lowpass_offset_suppress(frame, 3).pixels.shape == (0, 9, 4)
@@ -155,7 +166,7 @@ class TestLowpassSuppress:
             (9, 17, 9),  # rows == kernel: every window reaches an edge
             (3, 5, 3),
             (12, 1, 5),  # one column: the row median is the residue itself
-            # Row-median blocks of 16, 16 and 8 rows.
+            # Wide rows: three channels take the network in three passes.
             (40, NETWORK_BLOCK_PIXELS // 16, 9),
             # Kernels on each side of a step in the block height isqrt(k), in
             # frames whose rows are not a whole number of blocks.
@@ -388,14 +399,18 @@ class TestTuning:
         st.integers(min_value=0, max_value=400),
         st.integers(min_value=1, max_value=2000),
         st.integers(min_value=0, max_value=40),
+        st.sampled_from(list(TuningMode)),
     )
-    def test_pruned_search_matches_exhaustive_search(self, f_noise, fps_lo, fps_n, fl_lo, fl_n):
+    def test_breakpoint_search_matches_exhaustive_search(
+        self, f_noise, fps_lo, fps_n, fl_lo, fl_n, mode
+    ):
         fps_range = (fps_lo * TUNE_FPS_STEP, (fps_lo + fps_n) * TUNE_FPS_STEP)
         frame_lengths = (fl_lo, fl_lo + fl_n)
-        rec = recommend_tuning(f_noise, fps_range, frame_lengths)
-        fps, frame_length = oracle_max_separation(f_noise, fps_range, frame_lengths)
+        rec = recommend_tuning(f_noise, fps_range, frame_lengths, mode)
+        fps, frame_length = ORACLES[mode](f_noise, fps_range, frame_lengths)
         assert (rec.recommended_fps, rec.recommended_frame_length_rows) == (fps, frame_length)
 
+    @pytest.mark.parametrize("mode", list(TuningMode))
     @pytest.mark.parametrize(
         "f_noise, fps_range, frame_lengths",
         [
@@ -406,12 +421,42 @@ class TestTuning:
             (1000.0, (15.0, 60.0), (500, 2000)),
             (5000.0, (15.0, 60.0), (500, 2000)),
             (5000.0, (50.0, 50.0), (1, 2)),  # every fold is 0
+            (24000.0, (29.5, 30.5), (790, 810)),  # 30 fps x 800 rows is a harmonic
+            (24000.0, (29.9, 31.7), (800, 800)),  # so is 30 x 800 here
+            (103200.0, (29.97, 29.97), (500, 2000)),  # a one-point fps grid
+            (103200.0, (15.0, 60.0), (1, 2)),
+            (0.15, (5e-324, 0.1), (1, 3)),  # subnormal fps: breakpoints past float range
+            # Far more breakpoints than the 6 grid points at every length.
+            (3e6, (15.0, 15.05), (1, 40)),
+            (3e6, (15.0, 60.0), (500, 2000)),
+            (3e22, (1.0, 1.5), (2**70, 2**70 + 6)),  # lengths past 2**63
         ],
     )
-    def test_pruned_search_on_tie_heavy_grids(self, f_noise, fps_range, frame_lengths):
-        rec = recommend_tuning(f_noise, fps_range, frame_lengths)
-        fps, frame_length = oracle_max_separation(f_noise, fps_range, frame_lengths)
+    def test_breakpoint_search_on_tie_heavy_grids(self, f_noise, fps_range, frame_lengths, mode):
+        rec = recommend_tuning(f_noise, fps_range, frame_lengths, mode)
+        fps, frame_length = ORACLES[mode](f_noise, fps_range, frame_lengths)
         assert (rec.recommended_fps, rec.recommended_frame_length_rows) == (fps, frame_length)
+
+    @pytest.mark.parametrize("mode", list(TuningMode))
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_search_in_small_chunks_matches_exhaustive_search(self, monkeypatch, mode, chunk):
+        # Chunks of one length and of a few candidates, whole-grid chunks
+        # at the short lengths and breakpoint chunks past them.
+        monkeypatch.setattr(mitigation, "_SEARCH_CHUNK", chunk)
+        args = (24000.0, (15.0, 16.0), (1, 300))
+        rec = recommend_tuning(*args, mode)
+        assert (rec.recommended_fps, rec.recommended_frame_length_rows) == ORACLES[mode](*args)
+
+    @pytest.mark.parametrize("mode", list(TuningMode))
+    def test_tune_search_stays_under_a_mebibyte(self, mode):
+        recommend_tuning(103200.0, (15, 60), (500, 2000), mode)  # warm caches
+        tracemalloc.start()
+        try:
+            recommend_tuning(103200.0, (15, 60), (500, 2000), mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 class TestFilterPrediction:
