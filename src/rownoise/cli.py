@@ -20,6 +20,8 @@ import math
 import shutil
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -118,19 +120,42 @@ def _write_sidecar(path: Path, doc: dict) -> None:
 
 
 def _write_frames(out_dir: Path, named_frames, sidecar: dict) -> list[str]:
-    """Write each (name, frame) pair as it comes into a staging directory
-    on out_dir's file system, then rename them all into out_dir and write
-    the sidecar config.json: a frame that fails or a name given twice
-    leaves no file or directory behind. Returns the names in order."""
+    """Write each (name, frame) pair of the generator named_frames as it
+    comes into a staging directory on out_dir's file system, then rename
+    them all into out_dir and write the sidecar config.json: a frame that
+    fails or a name given twice leaves no file or directory behind.
+    Returns the names in order.
+
+    One writer thread writes frame i while the calling thread makes frame
+    i + 1 and waits for it before handing over the next, so at most one
+    write is in flight and its error surfaces there or at the end. The
+    writer runs the untraced imageio._write, so every traced call stays
+    on the calling thread. The generator is closed and the writer joined
+    before the staging directory goes, whatever fails."""
     anchor = next(p for p in (out_dir, *out_dir.parents) if p.is_dir())
     staging = Path(tempfile.mkdtemp(prefix=".rownoise-", dir=anchor))
     names: list[str] = []
+
+    def stage(frame, name: str) -> None:
+        try:
+            imageio._write(frame, staging / name, "xb")
+        except FileExistsError:
+            raise UsageError(f"inputs would overwrite each other in {out_dir}: {name}") from None
+
     try:
-        for name, frame in named_frames:
-            if (staging / name).exists():
-                raise UsageError(f"inputs would overwrite each other in {out_dir}: {name}")
-            imageio.write_image(frame, staging / name)
-            names.append(name)
+        with ThreadPoolExecutor(max_workers=1) as writer, closing(named_frames):
+            # Start the writer before the first frame is made: glibc gives a
+            # new thread the malloc arena freed last, so each run in one
+            # process then gives iter_stack's helper back its own arena, not
+            # a fresh one to grow its float buffers in (a second 1280x800
+            # simulate peaked at 77 MB, not 66).
+            pending = writer.submit(lambda: None)
+            for name, frame in named_frames:
+                imageio._check_suffix(frame, staging / name)
+                pending.result()
+                pending = writer.submit(stage, frame, name)
+                names.append(name)
+            pending.result()
         out_dir.mkdir(parents=True, exist_ok=True)
         for name in names:
             (staging / name).replace(out_dir / name)

@@ -51,11 +51,21 @@ def write_image(frame: Frame, path: str | Path) -> None:
     .ppm is RGB.
     """
     path = Path(path)
+    _check_suffix(frame, path)
+    _write(frame, path)
+
+
+def _check_suffix(frame: Frame, path: Path) -> None:
     expected = image_suffix(frame.channels)
     if path.suffix.lower() != expected:
         raise ValueError(f"{frame.channels}-channel frames write {expected}, got {path.name!r}")
+
+
+def _write(frame: Frame, path: Path, mode: str = "wb") -> None:
+    """write_image's body, with no suffix check: open path in mode ("xb"
+    refuses a file that exists) and write the frame."""
     magic = b"P5" if frame.channels == 1 else b"P6"  # P6 interleaves RGB per pixel
-    with path.open("wb") as f:
+    with path.open(mode) as f:
         f.write(b"%s\n%d %d\n255\n" % (magic, frame.width, frame.rows))
         f.write(np.ascontiguousarray(np.transpose(frame.pixels, (1, 2, 0))))
 

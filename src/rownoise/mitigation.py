@@ -71,6 +71,13 @@ def dark_reference_correct(frame: Frame, m_dark_cols: int, pedestal_dn: float = 
     valid for dark captures where every pixel is signal-free. The
     per-row, per-channel offset is the dark mean minus the pedestal; the
     whole row is shifted by it, then re-quantized.
+
+    Re-quantizing p - o rounds half up to floor(p - o + 0.5), which is
+    p - ceil(o - 0.5) for an integer p, so a row is an integer shift
+    (_shift_rows) with no float frame. That holds in float64 too where
+    each step is exact: o on the 2**-40 grid (|o| <= MAX_DN < 2**12), as
+    it is for a power-of-two m_dark_cols and a pedestal on that grid. Any
+    other row takes the float formula itself.
     """
     if m_dark_cols < 1:
         raise ValueError(f"m_dark_cols must be >= 1, got {m_dark_cols}")
@@ -79,7 +86,23 @@ def dark_reference_correct(frame: Frame, m_dark_cols: int, pedestal_dn: float = 
     if m_dark_cols > frame.width:
         raise ValueError(f"m_dark_cols {m_dark_cols} exceeds frame width {frame.width}")
     offsets = frame.pixels[:, :, :m_dark_cols].astype(np.float64).mean(axis=2) - pedestal_dn
-    return Frame(pixels=_quantize_in_place(frame.pixels - offsets[:, :, None]))
+    pixels = _shift_rows(frame.pixels, np.ceil(offsets - 0.5))
+    inexact = offsets * 2**40 % 1 != 0
+    if inexact.any():
+        pixels[inexact] = _quantize_in_place(frame.pixels[inexact] - offsets[inexact][:, None])
+    return Frame(pixels=pixels)
+
+
+def _shift_rows(pixels: np.ndarray, row_offsets: np.ndarray) -> np.ndarray:
+    """clip(p - o, 0, MAX_DN) for each uint8 pixel p of a (channels, rows,
+    width) array and the integer offset o in [-MAX_DN, MAX_DN] of its row,
+    (channels, rows), in uint8: p clamped to [max(0, o), min(MAX_DN,
+    MAX_DN + o)], less o modulo 256.
+    """
+    o = row_offsets.astype(np.int16)[:, :, None]
+    out = np.maximum(pixels, np.maximum(o, 0).astype(np.uint8))
+    np.minimum(out, np.minimum(MAX_DN + o, MAX_DN).astype(np.uint8), out=out)
+    return np.subtract(out, o.astype(np.uint8), out=out)
 
 
 def _merge_exchange(n: int) -> list[tuple[int, int]]:
@@ -196,7 +219,7 @@ def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
     is built. The residue is exact in int16, and each row's median comes
     from the row sorted in place (_twice_row_medians) as twice the
     median, an integer, so the offset is subtracted and rounded half up
-    with no float step.
+    in uint8 (_shift_rows) with no float step.
     """
     if kernel_rows < 3 or kernel_rows % 2 == 0:
         raise ValueError(f"kernel_rows must be odd and >= 3, got {kernel_rows}")
@@ -207,10 +230,9 @@ def lowpass_offset_suppress(frame: Frame, kernel_rows: int) -> Frame:
             f"kernel_rows {kernel_rows} exceeds frame rows {frame.rows}"
         )
     lowpass = _network_median(frame.pixels, kernel_rows)
-    pixels = frame.pixels.astype(np.int16)
+    residue = np.subtract(frame.pixels, lowpass, dtype=np.int16)
     # floor(p - m + 0.5) == p - floor(m) for a median m that is a multiple of 0.5.
-    pixels -= (_twice_row_medians(pixels - lowpass) >> 1)[:, :, None]
-    return Frame(pixels=np.clip(pixels, 0, MAX_DN).astype(np.uint8))
+    return Frame(pixels=_shift_rows(frame.pixels, _twice_row_medians(residue) >> 1))
 
 
 def recommend_tuning(
@@ -244,7 +266,7 @@ def recommend_tuning(
         )
     physics.line_frequency(fps_hi, fl_hi)  # the highest line rate on the grid is finite
 
-    fps_grid = np.array(physics.frequency_grid(fps_lo, fps_hi, TUNE_FPS_STEP))
+    fps_grid = physics._grid_points(fps_lo, fps_hi, TUNE_FPS_STEP)
     n_candidates = len(fps_grid) * n_lengths
     if n_candidates > MAX_TUNE_CANDIDATES:
         raise ValueError(

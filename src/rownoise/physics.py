@@ -73,7 +73,12 @@ def line_frequency(fps: float, frame_length_rows: int) -> float:
 
 def frequency_grid(start: float, stop: float, step: float) -> list[float]:
     """start, start + step, ... up to stop, stop included when it lies on
-    the grid.
+    the grid, as a list of floats: _grid_points' values."""
+    return _grid_points(start, stop, step).tolist()
+
+
+def _grid_points(start: float, stop: float, step: float) -> np.ndarray:
+    """frequency_grid's points as a float64 array.
 
     The point count allows 1e-9 of a step for float drift, so 0.1 to 0.3
     in steps of 0.1 has 3 points although (0.3 - 0.1) / 0.1 is just
@@ -93,7 +98,7 @@ def frequency_grid(start: float, stop: float, step: float) -> list[float]:
         f"range {start} to {stop} in steps of {step} has {count} points, "
         f"more than the cap of {MAX_GRID_POINTS}",
     )
-    return [start + i * step for i in range(count)]
+    return start + np.arange(count) * step
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,9 @@ vectorized path cannot hide in both. oracle_simulate_frame_analog draws
 each noise substream whole and adds the terms one at a time.
 oracle_max_separation and oracle_sync fold every candidate of the tune
 grid, where rownoise.mitigation folds only those near a fold breakpoint.
+oracle_dark_reference_correct and oracle_lowpass_tail shift each row in
+float64 and quantize, where rownoise.mitigation shifts uint8 rows by an
+integer.
 """
 
 import math
@@ -14,7 +17,7 @@ import numpy as np
 
 from rownoise import physics
 from rownoise.mitigation import TUNE_FPS_STEP
-from rownoise.sensor import generate_fpn_maps, row_supply_offsets_dn
+from rownoise.sensor import generate_fpn_maps, quantize_dn, row_supply_offsets_dn
 
 
 def oracle_row_noise(frame) -> float:
@@ -100,3 +103,20 @@ def oracle_sync(f_noise_hz, fps_range, frame_length_range):
     in SYNC mode, by folding every grid candidate: the smallest alias,
     ties to the lower fps, then the lower frame length."""
     return _oracle_tune(f_noise_hz, fps_range, frame_length_range, 1.0)
+
+
+def oracle_dark_reference_correct(pixels, m_dark_cols, pedestal_dn):
+    """Same pixels as rownoise.mitigation.dark_reference_correct: each
+    row's float64 dark mean less the pedestal, subtracted from the row in
+    float64, then quantized."""
+    offsets = pixels[:, :, :m_dark_cols].astype(np.float64).mean(axis=2) - pedestal_dn
+    return quantize_dn(pixels - offsets[:, :, None])
+
+
+def oracle_lowpass_tail(pixels, lowpass):
+    """Same pixels as rownoise.mitigation.lowpass_offset_suppress given the
+    running median lowpass: the float median of each row of the residue,
+    subtracted from the row in float64, then quantized."""
+    as_float = pixels.astype(np.float64)
+    offsets = np.median(as_float - lowpass, axis=2)
+    return quantize_dn(as_float - offsets[:, :, None])

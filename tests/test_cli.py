@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rownoise import sensor
+from rownoise import cli, imageio, mitigation, sensor
 from rownoise.cli import build_parser, main
 from rownoise.imageio import write_image
 from rownoise.sensor import Frame, SimScenario, scenario_from_json, simulate_stack
@@ -1090,12 +1090,15 @@ class TestMitigateCli:
         assert float(capsys.readouterr().out) < 0.5
 
     def test_inputs_with_one_output_name_are_usage_error(self, tmp_path, capsys):
+        # The second im1.pgm meets the first in the staging directory.
         a, b = self.banded_dir(tmp_path, "a"), self.banded_dir(tmp_path, "b")
         out = tmp_path / "fixed"
+        before = threading.active_count()
         assert main(["mitigate", "--method", "lowpass", "--out-dir", str(out),
                      str(a / "im1.pgm"), str(b / "im1.pgm")]) == 2
-        assert "im1.pgm" in capsys.readouterr().err
-        assert not out.exists()
+        assert "would overwrite each other" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]  # no staging, no out-dir
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("method", ["lowpass", "dark-ref"])
     def test_peak_memory_does_not_grow_with_frames(self, tmp_path, capsys, method):
@@ -1198,6 +1201,83 @@ class TestMitigateCli:
 
     def test_image_method_requires_inputs(self):
         assert main(["mitigate", "--method", "dark-ref", "--out-dir", "x"]) == 2
+
+
+class TestFrameWriter:
+    """The writer thread of _write_frames: whatever fails, and wherever,
+    the thread is joined and no staging directory or out-dir is left."""
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 3])
+    @pytest.mark.parametrize("command", ["simulate", "mitigate"])
+    def test_write_error_at_frame_k_is_exit_1(self, tmp_path, capsys, monkeypatch,
+                                              command, fail_at):
+        src = write_noise_stack(tmp_path / "in", 3, 16, 12)
+        argv = {"simulate": ["simulate", *SMALL_FLAGS, "--frames", "3"],
+                "mitigate": ["mitigate", "--method", "dark-ref", str(src)]}[command]
+        real, calls = imageio._write, []
+
+        def write(frame, path, mode):
+            calls.append(path.name)
+            if len(calls) == fail_at:
+                raise OSError(f"no space left writing {path.name}")
+            real(frame, path, mode)
+
+        monkeypatch.setattr(imageio, "_write", write)
+        before = threading.active_count()
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"no space left writing im{fail_at}.pgm" in capsys.readouterr().err
+        assert len(calls) == fail_at
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_frame_failing_while_a_write_is_pending(self, tmp_path, capsys, monkeypatch, error):
+        # Frame 2 fails while the write of frame 1 is held open: a kernel
+        # that fits no frame exits 2, an interrupt propagates.
+        src = write_noise_stack(tmp_path / "in", 3, 16, 12)
+        real_write, real_lowpass = imageio._write, mitigation.lowpass_offset_suppress
+        writing, failed, calls = threading.Event(), threading.Event(), []
+
+        def write(frame, path, mode):
+            writing.set()
+            failed.wait(10)
+            real_write(frame, path, mode)
+
+        def lowpass(frame, kernel_rows):
+            calls.append(kernel_rows)
+            if len(calls) < 2:
+                return real_lowpass(frame, kernel_rows)
+            assert writing.wait(10)
+            try:
+                if error is KeyboardInterrupt:
+                    raise KeyboardInterrupt
+                return real_lowpass(frame, frame.rows + 1)
+            finally:
+                failed.set()
+
+        monkeypatch.setattr(imageio, "_write", write)
+        monkeypatch.setattr(mitigation, "lowpass_offset_suppress", lowpass)
+        before = threading.active_count()
+        argv = ["mitigate", "--method", "lowpass", "--out-dir", str(tmp_path / "out"), str(src)]
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == 2
+            assert "kernel_rows 13 exceeds frame rows 12" in capsys.readouterr().err
+        assert len(calls) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+        assert threading.active_count() == before
+
+    def test_suffix_is_checked_on_the_calling_thread(self, tmp_path, monkeypatch):
+        def no_write(*args):
+            raise AssertionError("a frame with the wrong suffix reached the writer")
+
+        monkeypatch.setattr(imageio, "_write", no_write)
+        frame = Frame(pixels=np.zeros((3, 2, 2), dtype=np.uint8))
+        with pytest.raises(ValueError, match="3-channel frames write .ppm, got 'im1.pgm'"):
+            cli._write_frames(tmp_path / "out", (pair for pair in [("im1.pgm", frame)]), {})
+        assert not list(tmp_path.iterdir())
 
 
 class TestPredictCli:

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from oracle import oracle_max_separation, oracle_sync
+from oracle import (
+    oracle_dark_reference_correct,
+    oracle_lowpass_tail,
+    oracle_max_separation,
+    oracle_sync,
+)
 from scipy.ndimage import median_filter
 
 from rownoise.metric import row_noise_single
@@ -33,7 +38,6 @@ from rownoise.sensor import (
     SimScenario,
     SupplyNoiseConfig,
     TemporalNoiseConfig,
-    quantize_dn,
     rc_attenuation,
     simulate_frame,
 )
@@ -53,7 +57,44 @@ def banded_frame(freq_mult=1.5, phase_rad=math.pi / 4.0, frame_index=0):
     return simulate_frame(sc, frame_index)
 
 
+def shift_test_frames(channels, rows=24, width=12):
+    """Frames for the integer row shifts: full-range noise, a frame whose
+    rows alternate between dark columns at 255 and at 0 over noise, so
+    that rows clip at 0 and at 255, and a flat frame."""
+    rng = np.random.default_rng(channels)
+    noise = rng.integers(0, 256, (channels, rows, width), dtype=np.uint8)
+    clipping = noise.copy()
+    clipping[:, :, :4] = 255 * (np.arange(rows) % 2)[:, None]
+    flat = np.full((channels, rows, width), 77, dtype=np.uint8)
+    return {"noise": noise, "clipping": clipping, "flat": flat}
+
+
 class TestDarkReference:
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("m", [1, 3, 4])
+    @pytest.mark.parametrize(
+        "pedestal",
+        [
+            # Integers: every row is an integer shift. Under pedestals 0 and
+            # 255, the clipping frame's rows take offsets of +255 and -255.
+            0.0, 16.0, 64.0, 255.0,
+            16.5, 100.25,  # on the 2**-40 grid, not integers
+            16.3, math.pi,  # off the grid: every row takes the float table
+            # One ulp off a half-integer: the float subtract rounds below it.
+            float(np.nextafter(16.5, math.inf)),
+            float(np.nextafter(16.5, -math.inf)),
+            float(np.nextafter(100.5, -math.inf)),
+        ],
+    )
+    def test_matches_float_oracle_bit_for_bit(self, channels, m, pedestal):
+        for kind, pixels in shift_test_frames(channels).items():
+            expected = oracle_dark_reference_correct(pixels, m, pedestal)
+            got = dark_reference_correct(Frame(pixels=pixels), m, pedestal_dn=pedestal).pixels
+            assert got.dtype == np.uint8
+            assert got.tobytes() == expected.tobytes(), kind
+            if kind == "clipping" and m == 4 and pedestal == 16.0:
+                assert got.min() == 0 and got.max() == 255
+
     def test_single_dark_column_cancels_banding_exactly(self):
         frame = banded_frame()
         assert row_noise_single(frame) > 10.0
@@ -192,10 +233,8 @@ class TestLowpassSuppress:
             elif seed % 2:  # near-dark banded frames as well as full-range noise
                 pixels = np.clip(pixels // 16 + 8 * (np.arange(rows) % 3)[:, None], 0, 255)
                 pixels = pixels.astype(np.uint8)
-            as_float = pixels.astype(np.float64)
-            lowpass = median_filter(as_float, size=(1, kernel, 1), mode="nearest")
-            offsets = np.median(as_float - lowpass, axis=2)
-            expected = quantize_dn(as_float - offsets[:, :, None])
+            lowpass = median_filter(pixels.astype(np.float64), size=(1, kernel, 1), mode="nearest")
+            expected = oracle_lowpass_tail(pixels, lowpass)
             got = lowpass_offset_suppress(Frame(pixels=pixels), kernel).pixels
             assert got.dtype == np.uint8
             assert got.tobytes() == expected.tobytes()
@@ -257,6 +296,17 @@ class TestLowpassSuppress:
         ones = np.sum(values, axis=0)
         for p, selected in enumerate(_select(values, lo, hi), lo):
             assert np.array_equal(selected, ones > n - 1 - p)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("width", [11, 12])
+    def test_integer_tail_matches_float_oracle(self, channels, width):
+        # The residue's row medians, subtracted as uint8 shifts, against
+        # the float tail on the same running median.
+        for kind, pixels in shift_test_frames(channels, width=width).items():
+            lowpass = mitigation._network_median(pixels, 9)
+            expected = oracle_lowpass_tail(pixels, lowpass)
+            got = lowpass_offset_suppress(Frame(pixels=pixels), 9).pixels
+            assert got.tobytes() == expected.tobytes(), kind
 
     def test_kernel_above_the_cap_is_rejected_before_any_network(self, monkeypatch):
         def no_network(*args):

@@ -85,6 +85,7 @@ class TestFrequencyGrid:
     def test_includes_stop_under_float_drift(self):
         grid = frequency_grid(0.1, 0.3, 0.1)
         assert grid == [0.1, 0.1 + 1 * 0.1, 0.1 + 2 * 0.1]
+        assert physics._grid_points(0.1, 0.3, 0.1).tolist() == grid  # the tune grid
 
     def test_stop_off_grid_is_left_out(self):
         assert frequency_grid(50.0, 100_000.0, 1000.0)[-1] == 99_050.0
@@ -109,6 +110,21 @@ class TestFrequencyGrid:
         assert MAX_GRID_POINTS == 10**6
         with pytest.raises(ValueError, match="has 1000000000000 points, more than the cap"):
             frequency_grid(1.0, 1e12, 1.0)
+
+    @given(
+        start=st.floats(0.0, 1e5),
+        step=st.floats(1e-3, 1e3),
+        span=st.floats(0.0, 5000.0),
+    )
+    def test_tune_array_equals_the_list_grid(self, start, step, span):
+        # recommend_tuning takes the grid as one arange; the sweep takes
+        # the list. Both are point i = start + i * step, never a running sum.
+        stop = start + span * step
+        points = physics._grid_points(start, stop, step)
+        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        assert points.dtype == np.float64
+        assert points.tolist() == frequency_grid(start, stop, step)
+        assert points.tolist() == [start + i * step for i in range(count)]
 
     def test_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(physics, "MAX_GRID_POINTS", 5)

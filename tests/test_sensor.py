@@ -691,6 +691,7 @@ SPAN_FUNCTIONS = [
 class TestThreadDiscipline:
     def test_traced_functions_run_on_the_calling_thread(self, monkeypatch, tmp_path):
         import rownoise.cli
+        import rownoise.imageio
 
         calls = []  # (function, thread ident)
 
@@ -733,9 +734,25 @@ class TestThreadDiscipline:
             "--dsnu", "0.5", "--flicker", "--flicker-scale", "0.5",
             "--out", str(tmp_path / "pairs.csv"),
         ]) == 0
+        # simulate and mitigate write their frames on a writer thread,
+        # which runs no traced function.
+        frames = tmp_path / "frames"
+        assert rownoise.cli.main([
+            "simulate", "--width", "32", "--active-rows", "24", "--read-noise", "2",
+            "--frames", "3", "--out-dir", str(frames),
+        ]) == 0
+        rownoise.imageio.write_image(rownoise.imageio.read_image(frames / "im1.pgm"),
+                                     frames / "im4.pgm")
+        for method in ("lowpass", "dark-ref"):
+            assert rownoise.cli.main([
+                "mitigate", str(frames), "--method", method,
+                "--out-dir", str(tmp_path / method),
+            ]) == 0
         names = {name for name, _ in calls}
         assert {"sensor.generate_fpn_maps", "sensor.row_supply_offsets_dn",
-                "sensor.simulate_frame", "cli.main"} <= names
+                "sensor.simulate_frame", "cli.main", "imageio.write_image",
+                "imageio.read_image", "mitigation.lowpass_offset_suppress",
+                "mitigation.dark_reference_correct"} <= names
         assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
