@@ -15,6 +15,7 @@ error. All numeric output is locale-independent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import shutil
@@ -119,12 +120,13 @@ def _write_sidecar(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _write_frames(out_dir: Path, named_frames, sidecar: dict) -> list[str]:
-    """Write each (name, frame) pair of the generator named_frames as it
-    comes into a staging directory on out_dir's file system, then rename
-    them all into out_dir and write the sidecar config.json: a frame that
-    fails or a name given twice leaves no file or directory behind.
-    Returns the names in order.
+def _write_frames(out_dir: Path, stemmed_frames, sidecar: dict) -> list[str]:
+    """Write each (stem, frame) pair of the generator stemmed_frames as it
+    comes into a staging directory on out_dir's file system, named stem
+    plus write_image's suffix for its channel count. Once all are staged,
+    make out_dir, rename them into it and write the sidecar config.json:
+    a frame that fails or a name given twice leaves no file or directory
+    behind. Returns the names in order.
 
     One writer thread writes frame i while the calling thread makes frame
     i + 1 and waits for it before handing over the next, so at most one
@@ -143,15 +145,15 @@ def _write_frames(out_dir: Path, named_frames, sidecar: dict) -> list[str]:
             raise UsageError(f"inputs would overwrite each other in {out_dir}: {name}") from None
 
     try:
-        with ThreadPoolExecutor(max_workers=1) as writer, closing(named_frames):
+        with ThreadPoolExecutor(max_workers=1) as writer, closing(stemmed_frames):
             # Start the writer before the first frame is made: glibc gives a
             # new thread the malloc arena freed last, so each run in one
             # process then gives iter_stack's helper back its own arena, not
             # a fresh one to grow its float buffers in (a second 1280x800
             # simulate peaked at 77 MB, not 66).
             pending = writer.submit(lambda: None)
-            for name, frame in named_frames:
-                imageio._check_suffix(frame, staging / name)
+            for stem, frame in stemmed_frames:
+                name = stem + imageio.image_suffix(frame.channels)
                 pending.result()
                 pending = writer.submit(stage, frame, name)
                 names.append(name)
@@ -199,9 +201,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError(f"frames must be an integer >= 1, got {n!r}")
 
     out_dir = Path(args.out_dir)
-    ext = imageio.image_suffix(scenario.sensor.channels)
     # The im* names that analyze, mitigate and sweep read.
-    frames = ((f"im{i}{ext}", f) for i, f in enumerate(iter_stack(scenario, n), 1))
+    frames = ((f"im{i}", f) for i, f in enumerate(iter_stack(scenario, n), 1))
     sidecar = {"command": "simulate", "frames": n, "out_dir": str(out_dir),
                "scenario": json.loads(scenario_to_json(scenario))}
     names = _write_frames(out_dir, frames, sidecar)
@@ -287,8 +288,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         mode = kind(**{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:  # the field checks name the fields, not the flags
         field, rest = str(exc).split(" ", 1)
-        flag = {"value": "--threshold", "k": "--sigma-k", "window": "--window"}.get(field, field)
-        raise UsageError(f"{flag} {rest}") from None
+        flags = {"value": "--threshold", "threshold": "--threshold", "k": "--sigma-k",
+                 "window": "--window"}
+        raise UsageError(f"{flags.get(field, field)} {rest}") from None
     report = sweepmod.analyze_report(points, mode)
     text = report.to_text()
     sys.stdout.write(text)
@@ -342,8 +344,7 @@ def cmd_mitigate(args: argparse.Namespace) -> int:
                 )
             else:
                 fixed = mitigation.lowpass_offset_suppress(frame, args.kernel_rows)
-            # Same name as the input, in a format write_image takes (BMP in, PPM out).
-            yield p.stem + imageio.image_suffix(fixed.channels), fixed
+            yield p.stem, fixed
 
     sidecar = {"command": "mitigate", "method": args.method, "dark_cols": args.dark_cols,
                "pedestal": args.pedestal, "kernel_rows": args.kernel_rows,
@@ -374,6 +375,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rownoise",

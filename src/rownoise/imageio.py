@@ -51,14 +51,10 @@ def write_image(frame: Frame, path: str | Path) -> None:
     .ppm is RGB.
     """
     path = Path(path)
-    _check_suffix(frame, path)
-    _write(frame, path)
-
-
-def _check_suffix(frame: Frame, path: Path) -> None:
     expected = image_suffix(frame.channels)
     if path.suffix.lower() != expected:
         raise ValueError(f"{frame.channels}-channel frames write {expected}, got {path.name!r}")
+    _write(frame, path)
 
 
 def _write(frame: Frame, path: Path, mode: str = "wb") -> None:

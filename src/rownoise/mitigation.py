@@ -29,8 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import physics
-from .sensor import MAX_DN, Frame, _quantize_in_place, rc_attenuation
-from .sensor import quantize_dn  # noqa: F401  bench/test_bench.py traces mitigation.quantize_dn
+from .sensor import MAX_DN, Frame, quantize_dn, rc_attenuation
 
 __all__ = [
     "TuningMode",
@@ -74,10 +73,13 @@ def dark_reference_correct(frame: Frame, m_dark_cols: int, pedestal_dn: float = 
 
     Re-quantizing p - o rounds half up to floor(p - o + 0.5), which is
     p - ceil(o - 0.5) for an integer p, so a row is an integer shift
-    (_shift_rows) with no float frame. That holds in float64 too where
-    each step is exact: o on the 2**-40 grid (|o| <= MAX_DN < 2**12), as
-    it is for a power-of-two m_dark_cols and a pedestal on that grid. Any
-    other row takes the float formula itself.
+    (_shift_rows) with no float frame. In float64, with |o| <= MAX_DN,
+    p - o and the 0.5 added to it each round by at most 2**-45, half an
+    ulp below 512, and o - 0.5 rounds by less. So the float formula and
+    the shift both give the exact value when o is more than 2**-44 from
+    a half-integer, and when o is a half-integer every step is exact.
+    Only a row with 0 < |o mod 1 - 0.5| < 2**-40 takes the float formula
+    itself; that distance is taken exactly, from |o| mod 1.
     """
     if m_dark_cols < 1:
         raise ValueError(f"m_dark_cols must be >= 1, got {m_dark_cols}")
@@ -87,9 +89,10 @@ def dark_reference_correct(frame: Frame, m_dark_cols: int, pedestal_dn: float = 
         raise ValueError(f"m_dark_cols {m_dark_cols} exceeds frame width {frame.width}")
     offsets = frame.pixels[:, :, :m_dark_cols].astype(np.float64).mean(axis=2) - pedestal_dn
     pixels = _shift_rows(frame.pixels, np.ceil(offsets - 0.5))
-    inexact = offsets * 2**40 % 1 != 0
-    if inexact.any():
-        pixels[inexact] = _quantize_in_place(frame.pixels[inexact] - offsets[inexact][:, None])
+    near_half = np.abs(np.abs(offsets) % 1 - 0.5)
+    fork = (near_half > 0) & (near_half < 2**-40)
+    if fork.any():
+        pixels[fork] = quantize_dn(frame.pixels[fork] - offsets[fork][:, None])
     return Frame(pixels=pixels)
 
 

@@ -368,10 +368,6 @@ def _round_and_clip(analog: np.ndarray) -> np.ndarray:
     return np.clip(analog, 0, MAX_DN, out=analog)
 
 
-def _quantize_in_place(analog: np.ndarray) -> np.ndarray:
-    return _round_and_clip(analog).astype(np.uint8)
-
-
 def quantize_dn(analog: np.ndarray) -> np.ndarray:
     """Round to the nearest DN with halves up, clamp to [0, MAX_DN], cast
     to uint8. The caller's array is left as it is.
@@ -379,7 +375,7 @@ def quantize_dn(analog: np.ndarray) -> np.ndarray:
     Halves up and halves away from zero differ only below zero, where
     both clamp to 0.
     """
-    return _quantize_in_place(np.array(analog, dtype=np.float64))
+    return _round_and_clip(np.array(analog, dtype=np.float64)).astype(np.uint8)
 
 
 @contextmanager

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rownoise import cli, imageio, mitigation, sensor
+from rownoise import imageio, mitigation, sensor
 from rownoise.cli import build_parser, main
 from rownoise.imageio import write_image
 from rownoise.sensor import Frame, SimScenario, scenario_from_json, simulate_stack
@@ -164,6 +164,7 @@ class TestSimulate:
             assert (out / f"im{i}.pgm").read_bytes() == (tmp_path / "expected.pgm").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.pgm", "run"]
 
+    @pytest.mark.peak_memory
     def test_peak_memory_does_not_grow_with_frames(self, tmp_path):
         # Each frame is written as it is made, so eight frames peak no
         # higher than four by as much as one frame. From four frames on, a
@@ -413,6 +414,7 @@ class TestAnalyze:
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.pgm")]) == 1
 
+    @pytest.mark.peak_memory
     def test_peak_memory_does_not_grow_with_frames(self, tmp_path, capsys):
         # Frames are read and measured one at a time, so eight frames peak
         # no higher than two by as much as one frame.
@@ -1004,7 +1006,7 @@ class TestReportCli:
         "flags, message",
         [
             (["--threshold=nan"], "error: --threshold must be a finite number, got nan\n"),
-            (["--threshold=-1"], "error: threshold must be >= 0, got -1.0\n"),
+            (["--threshold=-1"], "error: --threshold must be >= 0, got -1.0\n"),
             (["--sigma-k=0"], "error: --sigma-k must be > 0, got 0.0\n"),
             (["--window=1"], "error: --window must be >= 2, got 1\n"),
         ],
@@ -1100,6 +1102,7 @@ class TestMitigateCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]  # no staging, no out-dir
         assert threading.active_count() == before
 
+    @pytest.mark.peak_memory
     @pytest.mark.parametrize("method", ["lowpass", "dark-ref"])
     def test_peak_memory_does_not_grow_with_frames(self, tmp_path, capsys, method):
         # Each frame is read, corrected and written before the next is
@@ -1269,16 +1272,6 @@ class TestFrameWriter:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
         assert threading.active_count() == before
 
-    def test_suffix_is_checked_on_the_calling_thread(self, tmp_path, monkeypatch):
-        def no_write(*args):
-            raise AssertionError("a frame with the wrong suffix reached the writer")
-
-        monkeypatch.setattr(imageio, "_write", no_write)
-        frame = Frame(pixels=np.zeros((3, 2, 2), dtype=np.uint8))
-        with pytest.raises(ValueError, match="3-channel frames write .ppm, got 'im1.pgm'"):
-            cli._write_frames(tmp_path / "out", (pair for pair in [("im1.pgm", frame)]), {})
-        assert not list(tmp_path.iterdir())
-
 
 class TestPredictCli:
     def test_midpoint_wording(self, capsys):
@@ -1324,6 +1317,22 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main(["transmogrify"])
         assert err.value.code == 2
+
+    def test_main_calls_share_one_parser(self, monkeypatch, capsys):
+        # Built once per process: neither a usage error (exit 2) nor a
+        # flag given in one call carries over into the next.
+        parser, calls = build_parser(), []
+        real = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv: calls.append(argv) or real(argv))
+        predict = ["predict", "--noise-freq", "36000", "--fps", "30", "--frame-length", "800"]
+        assert main([*predict, "--rc-cutoff", "3600"]) == 0
+        with pytest.raises(SystemExit) as err:
+            main(["predict", "--fps", "x"])
+        assert err.value.code == 2
+        capsys.readouterr()
+        assert main(predict) == 0
+        assert capsys.readouterr().out == "alias 12000 Hz, band height 1 row\n"
+        assert len(calls) == 3 and build_parser() is parser
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(

@@ -19,6 +19,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from oracle import oracle_simulate_frame_analog
 
 from rownoise.cli import main
 from rownoise.mitigation import dark_reference_correct, lowpass_offset_suppress
@@ -32,7 +33,6 @@ from rownoise.sensor import (
     TemporalNoiseConfig,
     generate_fpn_maps,
     simulate_frame,
-    simulate_frame_analog,
 )
 from rownoise.sweep import SimulateSource, SweepConfig, run_sweep, write_csv
 
@@ -132,12 +132,13 @@ SWEEP_CSV_PIN = "4d7902af46939d0eca2992042a6040d3fa922d532f66e626d1e2e6d3bc3b429
 
 
 def frames_digest(scenario: SimScenario, n_frames: int = 3) -> str:
-    """sha256 over the analog float64 values and the uint8 pixels of
-    frames 0..n_frames-1, with one set of FPN maps."""
+    """sha256 over the analog float64 values (from the one-thread oracle)
+    and the uint8 pixels of frames 0..n_frames-1, with one set of FPN
+    maps."""
     h = hashlib.sha256()
     fpn = generate_fpn_maps(scenario.seed, scenario.sensor, scenario.spatial)
     for i in range(n_frames):
-        analog = simulate_frame_analog(scenario, i, fpn)
+        analog = oracle_simulate_frame_analog(scenario, i)
         h.update(np.ascontiguousarray(analog, dtype="<f8").tobytes())
         h.update(simulate_frame(scenario, i, fpn).pixels.tobytes())
     return h.hexdigest()

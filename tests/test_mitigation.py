@@ -57,6 +57,14 @@ def banded_frame(freq_mult=1.5, phase_rad=math.pi / 4.0, frame_index=0):
     return simulate_frame(sc, frame_index)
 
 
+def ulps_from(x, steps):
+    """The float steps ulps above x (below it for negative steps), clamped
+    to the pedestal range [0, 255]."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return min(max(x, 0.0), 255.0)
+
+
 def shift_test_frames(channels, rows=24, width=12):
     """Frames for the integer row shifts: full-range noise, a frame whose
     rows alternate between dark columns at 255 and at 0 over noise, so
@@ -78,9 +86,12 @@ class TestDarkReference:
             # Integers: every row is an integer shift. Under pedestals 0 and
             # 255, the clipping frame's rows take offsets of +255 and -255.
             0.0, 16.0, 64.0, 255.0,
-            16.5, 100.25,  # on the 2**-40 grid, not integers
-            16.3, math.pi,  # off the grid: every row takes the float table
-            # One ulp off a half-integer: the float subtract rounds below it.
+            16.5, 100.25,  # offsets on a half-integer or a quarter
+            # Offsets off the 2**-40 grid but far from a half-integer: every
+            # row is still an integer shift.
+            16.3, math.pi,
+            # One ulp off a half-integer: the float subtract rounds below it,
+            # and rows whose offset is that close take the float formula.
             float(np.nextafter(16.5, math.inf)),
             float(np.nextafter(16.5, -math.inf)),
             float(np.nextafter(100.5, -math.inf)),
@@ -94,6 +105,29 @@ class TestDarkReference:
             assert got.tobytes() == expected.tobytes(), kind
             if kind == "clipping" and m == 4 and pedestal == 16.0:
                 assert got.min() == 0 and got.max() == 255
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        channels=st.sampled_from([1, 3]),
+        rows=st.integers(1, 8),
+        width=st.integers(1, 12),
+        # Uniform pedestals, and pedestals a few ulps off a multiple of 0.5,
+        # which give offsets a few ulps off a half-integer: the only rows
+        # that take the float formula.
+        pedestal=st.one_of(
+            st.floats(0.0, 255.0),
+            st.tuples(st.integers(0, 510), st.integers(-4, 4)).map(
+                lambda hu: ulps_from(hu[0] / 2, hu[1])
+            ),
+        ),
+        data=st.data(),
+    )
+    def test_matches_float_oracle_on_random_frames(self, channels, rows, width, pedestal, data):
+        m = data.draw(st.integers(1, width), label="m")
+        pixels = data.draw(arrays(np.uint8, (channels, rows, width)), label="pixels")
+        expected = oracle_dark_reference_correct(pixels, m, pedestal)
+        got = dark_reference_correct(Frame(pixels=pixels), m, pedestal_dn=pedestal).pixels
+        assert got.tobytes() == expected.tobytes()
 
     def test_single_dark_column_cancels_banding_exactly(self):
         frame = banded_frame()
@@ -497,6 +531,7 @@ class TestTuning:
         rec = recommend_tuning(*args, mode)
         assert (rec.recommended_fps, rec.recommended_frame_length_rows) == ORACLES[mode](*args)
 
+    @pytest.mark.peak_memory
     @pytest.mark.parametrize("mode", list(TuningMode))
     def test_tune_search_stays_under_a_mebibyte(self, mode):
         recommend_tuning(103200.0, (15, 60), (500, 2000), mode)  # warm caches

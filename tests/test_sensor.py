@@ -574,6 +574,7 @@ class TestNoiseLanes:
         simulate_frame(sc, 0)
         simulate_frame_analog(sc, 0)
 
+    @pytest.mark.peak_memory
     def test_lone_frame_holds_no_float_frame(self):
         # Shot, read and reset noise with no flicker series and no DSNU
         # map: the frame's own bytes are its uint8 pixels and a few
@@ -592,6 +593,7 @@ class TestNoiseLanes:
             tracemalloc.stop()
         assert peak < 3 * 480 * 640 * 8
 
+    @pytest.mark.peak_memory
     def test_flicker_frame_peak_memory_holds_one_series(self):
         # Flicker alone: the frame's uint8 pixels, its 8-byte series and
         # a few piece-sized buffers, with no octave drawn whole beside
