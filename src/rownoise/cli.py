@@ -15,9 +15,11 @@ error. All numeric output is locale-independent.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
+import os
 import shutil
 import sys
 import tempfile
@@ -256,6 +258,12 @@ def _sweep_config_from_args(args: argparse.Namespace) -> sweepmod.SweepConfig:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _sweep_config_from_args(args)
     out = Path(args.out)
+    # Raise what the writes would raise, before a capture rig runs for hours.
+    for path in (out, Path(args.plot or out)):
+        if not path.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     try:
         points = sweepmod.run_sweep(config)
     except sweepmod.CaptureError as exc:
@@ -455,18 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Parse errors are ValueErrors that exit 1; any other ValueError exits 2.
     try:
         return args.func(args)
-    except (imageio.ImageParseError, sweepmod.CsvParseError) as exc:
+    except (imageio.ImageParseError, sweepmod.CsvParseError, OSError, RuntimeError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, RuntimeError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:  # domain/config problems from the modules
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

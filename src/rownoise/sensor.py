@@ -27,14 +27,15 @@ Determinism: every stochastic term draws from its own Philox substream
 keyed by (seed, frame_index, source tag), filled row-major. A substream
 may be drawn in consecutive pieces, which gives the same values as one
 draw. Every frame is made in pieces by one body, whole on the thread
-that makes it, which sums its terms per pixel in one fixed order; one
-frame stream makes the frames of a stack or a sweep in pairs, a helper
-thread's frame beside the calling thread's. Frames can therefore be
-generated in any order, on either thread, and come out bit-identical.
-Fixed-pattern maps are keyed by seed alone so they stay frozen across a
-stack. A source whose sigma or switch is off draws nothing and adds
-nothing, which leaves the other substreams and every output bit as they
-would be with its zero term added.
+that makes it, which sums its terms per pixel in one fixed order. One
+frame stream makes (scenario, n_frames) stacks, one for simulate or one
+per sweep point: it numbers each stack's frames from 0, builds its
+fixed-pattern maps, keyed by seed alone so they stay frozen across the
+stack, and makes the frames in pairs, a helper thread's frame beside the
+calling thread's. Frames can therefore be generated in any order, on
+either thread, and come out bit-identical. A source whose sigma or
+switch is off draws nothing and adds nothing, which leaves the other
+substreams and every output bit as they would be with its zero term added.
 
 Units: one simulated electron contributes one DN. Neither the supply
 coupling path nor the 0 lux operating point gives a reason to pick a
@@ -544,16 +545,19 @@ def simulate_frame(
     return Frame(pixels=_frame_in_pieces(scenario, frame_index, fpn, offsets, np.uint8))
 
 
-def _frame_stream(jobs: Iterable[tuple[SimScenario, int, FpnMaps]]) -> Iterator[Frame]:
-    """The Frame of each (scenario, frame index, fpn) job, in job order,
-    made in pairs: the calling thread makes the first of each pair with
-    simulate_frame, one helper thread kept for the stream makes the
-    second. Jobs and supply offsets are taken on the calling thread,
-    with the other traced calls. Closing the stream early or a frame
-    that raises joins the helper first."""
-    jobs = iter(jobs)
+def _frame_stream(stacks: Iterable[tuple[SimScenario, int]]) -> Iterator[Frame]:
+    """The frames of each (scenario, n_frames) stack, stack after stack,
+    numbered 0 to n_frames - 1 and sharing the FPN maps built for the
+    stack when its first frame is taken. Frames are made in pairs: the
+    calling thread makes the first of each pair with simulate_frame, one
+    helper thread kept for the stream makes the second, so a pair may end
+    one stack and start the next. Maps and supply offsets are made on the
+    calling thread, with the other traced calls. Closing the stream early
+    or a frame that raises joins the helper first."""
+    jobs = ((sc, i, fpn) for sc, n in stacks
+            for fpn in [generate_fpn_maps(sc.seed, sc.sensor, sc.spatial)] for i in range(n))
     # One helper thread, started at the first submit: a stream of one
-    # job starts none.
+    # frame starts none.
     with ThreadPoolExecutor(1) as helper:
         while pair := list(islice(jobs, 2)):
             later = [
@@ -573,8 +577,7 @@ def iter_stack(scenario: SimScenario, n_frames: int) -> Iterator[Frame]:
     at most the frame it last took and the pair in the making."""
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    fpn = generate_fpn_maps(scenario.seed, scenario.sensor, scenario.spatial)
-    yield from _frame_stream((scenario, i, fpn) for i in range(n_frames))
+    yield from _frame_stream([(scenario, n_frames)])
 
 
 def simulate_stack(scenario: SimScenario, n_frames: int) -> list[Frame]:

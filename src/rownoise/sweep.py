@@ -7,12 +7,12 @@ noise starts, where it peaks and which frequency ranges are of concern.
 Points come either from the built-in simulator or from an external
 capture command (a bench supply or signal generator wrapper) that drops
 image files into a directory. A sweep is its list of (frequency, row
-noise) points in ascending frequency. Each simulated point has its own
-seed and FPN maps. The frames of every point run through one frame
-stream (sensor._frame_stream) in pairs, on the calling thread and one
-helper thread, so a pair may end one point and start the next, and every
-point measures its frames in order. Each frame is bit-identical on
-either thread.
+noise) points in ascending frequency. A simulated point is a stack: the
+scenario at the point's frequency, amplitude and seed, and its
+frames_per_step frames. The sweep streams its stacks through the frame
+stream of simulate (sensor._frame_stream), which numbers each stack's
+frames and builds its FPN maps, and measures each point's frames in
+order.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 from . import imageio, physics
 from .metric import row_noise
 from .sensor import SimScenario, _bounded, _build_section, _Config, _frame_stream
-from .sensor import generate_fpn_maps
 from .sensor import simulate_stack  # noqa: F401  bench/test_bench.py traces sweep.simulate_stack
 
 __all__ = [
@@ -134,22 +133,6 @@ def _step_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1)[0])
 
 
-def _simulated_jobs(config: SweepConfig, freqs: list[float]):
-    """The (scenario, frame index, fpn) job of every frame of the sweep,
-    point after point, each point's scenario and FPN maps made as its
-    first job is taken."""
-    base = config.source.scenario
-    for index, freq in enumerate(freqs):
-        scenario = replace(
-            base,
-            supply=replace(base.supply, frequency_hz=freq, amplitude_vpp=config.amplitude_vpp),
-            seed=_step_seed(config.seed, index),
-        )
-        fpn = generate_fpn_maps(scenario.seed, scenario.sensor, scenario.spatial)
-        for i in range(config.frames_per_step):
-            yield scenario, i, fpn
-
-
 def _measure_captured(config: SweepConfig, freq: float) -> float:
     src = config.source
     cmd = src.command.format(freq=int(round(freq)), amp=config.amplitude_vpp)
@@ -183,9 +166,15 @@ def run_sweep(config: SweepConfig) -> list[tuple[float, float]]:
                 raise CaptureError(str(exc), points) from exc
         return points
 
+    base, amp, n = config.source.scenario, config.amplitude_vpp, config.frames_per_step
+    scenarios = [
+        replace(base, supply=replace(base.supply, frequency_hz=f, amplitude_vpp=amp),
+                seed=_step_seed(config.seed, index))
+        for index, f in enumerate(freqs)
+    ]
     # closing() joins the stream's helper thread before the sweep returns or raises.
-    with closing(_frame_stream(_simulated_jobs(config, freqs))) as stream:
-        return [(f, row_noise(islice(stream, config.frames_per_step)).average) for f in freqs]
+    with closing(_frame_stream((sc, n) for sc in scenarios)) as stream:
+        return [(f, row_noise(islice(stream, n)).average) for f in freqs]
 
 
 def _format_freq(freq: float) -> str:

@@ -8,7 +8,9 @@ oracle_max_separation and oracle_sync fold every candidate of the tune
 grid, where rownoise.mitigation folds only those near a fold breakpoint.
 oracle_dark_reference_correct and oracle_lowpass_tail shift each row in
 float64 and quantize, where rownoise.mitigation shifts uint8 rows by an
-integer.
+integer. oracle_expected_row_noise is the physics in closed form: the
+row noise a dark stack should measure and its standard error, from the
+normal CDF, with no frame simulated.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 
 from rownoise import physics
 from rownoise.mitigation import TUNE_FPS_STEP
-from rownoise.sensor import generate_fpn_maps, quantize_dn, row_supply_offsets_dn
+from rownoise.sensor import PhaseMode, generate_fpn_maps, quantize_dn, row_supply_offsets_dn
 
 
 def oracle_row_noise(frame) -> float:
@@ -120,3 +122,84 @@ def oracle_lowpass_tail(pixels, lowpass):
     as_float = pixels.astype(np.float64)
     offsets = np.median(as_float - lowpass, axis=2)
     return quantize_dn(as_float - offsets[:, :, None])
+
+
+def _row_levels(scenario, frame_index):
+    """Pedestal plus supply offset of each readout row of one frame, by the
+    model in the rownoise.sensor docstring."""
+    sensor, supply = scenario.sensor, scenario.supply
+    t = np.arange(sensor.readout_rows) / (sensor.fps * sensor.frame_length_rows)
+    phase = supply.phase_rad
+    if supply.phase_mode is PhaseMode.RANDOM_PER_FRAME:
+        ss = np.random.SeedSequence(scenario.seed, spawn_key=(frame_index, 1))
+        phase += np.random.Generator(np.random.Philox(ss)).uniform(0.0, 2.0 * math.pi)
+    else:
+        t = t + frame_index / sensor.fps
+    gain = 1.0
+    if supply.rc_cutoff_hz is not None and supply.frequency_hz != 0:
+        ratio = supply.frequency_hz / supply.rc_cutoff_hz
+        gain, phase = 1.0 / math.hypot(1.0, ratio), phase - math.atan(ratio)
+    arg = 2.0 * math.pi * supply.frequency_hz * t + phase
+    volts = 0.5 * supply.amplitude_vpp * gain * np.sin(arg)
+    return sensor.pedestal_dn + supply.coupling_gain * sensor.dn_per_volt * volts
+
+
+def _quantized_moments(levels, sigma):
+    """Mean and variance of clip(floor(c + noise + 0.5), 0, 255), noise
+    normal with deviation sigma, at each level c. The value counts the
+    boundaries k - 0.5 (k = 1..255) that c + noise reaches, so its mean is
+    sum P_k and its second moment sum (2k - 1) P_k, P_k the normal tail
+    probability of boundary k. Boundaries more than 8 sigma away have P_k
+    0 or 1 to double precision."""
+    span = math.ceil(8.0 * sigma)
+    k = np.floor(levels)[:, None] + np.arange(-span, span + 2)
+    z = ((k - 0.5 - levels[:, None]) / (sigma * math.sqrt(2.0))).ravel().tolist()
+    tail = 0.5 * np.fromiter(map(math.erfc, z), float, len(z)).reshape(k.shape)
+    tail[(k < 1) | (k > 255)] = 0.0
+    below = np.clip(k[:, 0] - 1, 0, 255)  # boundaries under the window: P_k = 1
+    mean = below + tail.sum(axis=1)
+    return mean, below**2 + ((2.0 * k - 1.0) * tail).sum(axis=1) - mean**2
+
+
+def oracle_expected_row_noise(scenario, n_frames):
+    """(expected row noise, standard error) of scenario's n_frames stack,
+    in closed form, for a dark capture whose temporal noise is read and
+    reset noise: Gaussian, sigma their hypot. Shot noise, flicker, DSNU,
+    column FPN or no temporal noise at all raise ValueError.
+
+    Row r of a frame sits at c_r = pedestal + supply offset, and its
+    pixels have mean m_r and variance v_r (_quantized_moments). The R row
+    means of W pixels each are independent, with variances w_r = v_r / W,
+    so with d_r = m_r - mean(m) a channel's sample variance s^2 has
+
+        E[s^2]   = sum d_r^2 / (R - 1) + mean(v_r) / W
+        Var[s^2] = (2 tr(CDCD) + 4 sum d_r^2 w_r) / (R - 1)^2
+
+    where C is the centring matrix and D = diag(w), taking the row means
+    as normal: tr(CDCD) = (1 - 2/R) sum w^2 + (sum w)^2 / R^2. A channel's
+    s is taken to second order about sqrt(E[s^2]), which gives its mean
+    (less the Jensen gap) and variance; the channels and frames of the
+    stack are independent, and row noise averages them."""
+    sensor, temporal, spatial = scenario.sensor, scenario.temporal, scenario.spatial
+    if (temporal.shot_enabled and temporal.dark_signal_e > 0) or (
+        temporal.flicker_enabled and temporal.flicker_scale_dn > 0
+    ) or spatial.dsnu_dn or spatial.column_fpn_dn:
+        raise ValueError("only read and reset noise have a closed form here")
+    reset = 0.0
+    if temporal.reset_enabled and not temporal.cds_enabled:
+        reset = physics.reset_noise_v(temporal.reset_temp_k, temporal.reset_cap_f)
+        reset *= sensor.dn_per_volt
+    sigma = math.hypot(temporal.read_noise_dn, reset)
+    if sigma == 0:
+        raise ValueError("the standard error needs read or reset noise")
+    rows, width = sensor.readout_rows, sensor.width
+    levels = np.stack([_row_levels(scenario, f) for f in range(n_frames)])
+    m, v = _quantized_moments(levels.ravel(), sigma)
+    m, w = m.reshape(levels.shape), v.reshape(levels.shape) / width
+    d2 = (m - m.mean(axis=1, keepdims=True)) ** 2
+    mu = d2.sum(axis=1) / (rows - 1) + w.mean(axis=1)
+    trace = (1.0 - 2.0 / rows) * (w**2).sum(axis=1) + w.sum(axis=1) ** 2 / rows**2
+    tau2 = (2.0 * trace + 4.0 * (d2 * w).sum(axis=1)) / (rows - 1) ** 2
+    mean_s = np.sqrt(mu) - tau2 / (8.0 * mu**1.5)
+    var_s = tau2 / (4.0 * mu)
+    return float(mean_s.mean()), math.sqrt(var_s.sum() / sensor.channels) / n_frames

@@ -26,10 +26,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rownoise import imageio, mitigation, sensor
-from rownoise.cli import build_parser, main
+from rownoise.cli import UsageError, build_parser, main
 from rownoise.imageio import write_image
 from rownoise.sensor import Frame, SimScenario, scenario_from_json, simulate_stack
-from rownoise.sweep import SweepConfig
+from rownoise.sweep import CsvParseError, SweepConfig
 
 PHASE = str(math.pi / 4.0)
 SMALL_FLAGS = [
@@ -627,6 +627,32 @@ class TestSweepCli:
         assert main(["sweep", "--config", str(cfg), "--capture-glob", "im*",
                      "--out", str(csv)]) == 0
         assert csv.read_text().splitlines()[1:] == ["100,0.0000", "200,0.0000"]
+
+    @pytest.mark.parametrize("case", ["out in a missing directory", "out is a directory",
+                                      "plot in a missing directory", "plot is a directory"])
+    def test_unwritable_output_fails_before_the_first_point(self, tmp_path, capsys, case):
+        # A capture sweep can hold a bench for hours: a path the sweep's
+        # writes would fail on exits 1 with the write's error before the
+        # rig is called, and no file is written.
+        cmd, rig_dir = self.capture_rig(tmp_path)
+        calls = tmp_path / "calls.log"
+        cmd = f"echo {{freq}} >> {shlex.quote(str(calls))} && {cmd}"
+        out, plot = {
+            "out in a missing directory": (tmp_path / "gone" / "s.csv", None),
+            "out is a directory": (rig_dir, None),
+            "plot in a missing directory": (tmp_path / "s.csv", tmp_path / "gone" / "s.svg"),
+            "plot is a directory": (tmp_path / "s.csv", rig_dir),
+        }[case]
+        before = sorted(tmp_path.rglob("*"))
+        code = main(["sweep", "--start", "100", "--end", "300", "--step", "100",
+                     "--capture-cmd", cmd, "--capture-dir", str(rig_dir), "--out", str(out),
+                     *(["--plot", str(plot)] if plot else [])])
+        assert code == 1
+        with pytest.raises(OSError) as write_error:
+            (plot or out).write_text("")
+        assert capsys.readouterr().err == f"error: {write_error.value}\n"
+        assert not calls.exists()
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestConfigDocuments:
@@ -1333,6 +1359,30 @@ class TestParser:
         assert main(predict) == 0
         assert capsys.readouterr().out == "alias 12000 Hz, band height 1 row\n"
         assert len(calls) == 3 and build_parser() is parser
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (imageio.ImageParseError("im1.pgm: bad header"), 1),
+            (CsvParseError("s.csv:2: expected 2 fields, got 3"), 1),
+            (OSError("disk unplugged"), 1),
+            (RuntimeError("capture command failed"), 1),
+            (MemoryError("cannot allocate a frame"), 1),
+            (UsageError("--threshold excludes --sigma-k/--window"), 2),
+            (ValueError("fps must be > 0, got 0.0"), 2),
+        ],
+        ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else str(v),
+    )
+    def test_exit_code_of_each_error(self, monkeypatch, capsys, error, code):
+        # A subcommand's error exits 1 for a runtime or I/O failure and 2
+        # for a usage or config error, with one message form.
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(build_parser(), "parse_args",
+                            lambda argv: argparse.Namespace(func=fail))
+        assert main(["predict"]) == code
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(

@@ -257,6 +257,49 @@ class TestSweepStream:
         assert run_sweep(cfg) == expected
         assert threading.active_count() == before
 
+    @staticmethod
+    def record_maps(monkeypatch) -> list[int]:
+        """The seed of each sensor.generate_fpn_maps call from now on."""
+        seeds, real = [], sensor.generate_fpn_maps
+
+        def record(seed, *args):
+            seeds.append(seed)
+            return real(seed, *args)
+
+        monkeypatch.setattr(sensor, "generate_fpn_maps", record)
+        return seeds
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_each_point_builds_its_maps_once(self, monkeypatch, n):
+        source = SimulateSource(scenario=self.scenario(1, PhaseMode.CONTINUOUS))
+        cfg = SweepConfig(start_hz=1000.0, end_hz=5000.0, step_hz=1000.0, frames_per_step=n,
+                          seed=3, source=source)
+        seeds = self.record_maps(monkeypatch)
+        run_sweep(cfg)
+        assert seeds == [sweep._step_seed(3, index) for index in range(5)]
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_closing_after_the_first_point_builds_only_its_maps(self, monkeypatch, n):
+        # An even frame count ends the first point with a whole pair, so no
+        # frame of the second point has been asked for when the stream closes.
+        class Stop(Exception):
+            pass
+
+        def measure_first_point(frames):
+            assert len(list(frames)) == n
+            raise Stop
+
+        source = SimulateSource(scenario=self.scenario(3, PhaseMode.CONTINUOUS))
+        cfg = SweepConfig(start_hz=1000.0, end_hz=5000.0, step_hz=1000.0, frames_per_step=n,
+                          seed=3, source=source)
+        seeds = self.record_maps(monkeypatch)
+        monkeypatch.setattr(sweep, "row_noise", measure_first_point)
+        before = threading.active_count()
+        with pytest.raises(Stop):
+            run_sweep(cfg)
+        assert seeds == [sweep._step_seed(3, 0)]
+        assert threading.active_count() == before
+
 
 def capture_setup(tmp_path, fail_above=None):
     """A stand-in bench rig: writes two flat PGM frames per call."""
