@@ -258,12 +258,21 @@ def _sweep_config_from_args(args: argparse.Namespace) -> sweepmod.SweepConfig:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _sweep_config_from_args(args)
     out = Path(args.out)
-    # Raise what the writes would raise, before a capture rig runs for hours.
-    for path in (out, Path(args.plot or out)):
+    outputs = {"--out": out, "the sidecar of --out": Path(f"{out}.config.json")}
+    if args.plot:
+        plot = Path(args.plot)
+        outputs |= {"--plot": plot, "the data file of --plot": plot.with_suffix(".dat")}
+    # Raise what the writes would raise, before a capture rig runs for hours,
+    # and refuse outputs that would overwrite each other.
+    written: dict[Path, str] = {}
+    for name, path in outputs.items():
         if not path.parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        first = written.setdefault(path.resolve(), name)
+        if first != name:
+            raise UsageError(f"{first} and {name} would both write {path}")
     try:
         points = sweepmod.run_sweep(config)
     except sweepmod.CaptureError as exc:
@@ -319,17 +328,43 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+# The flags each mitigate method takes, by dest, with their defaults;
+# _REQUIRED marks one the method cannot run without. A flag of another
+# method is a usage error, so no flag is taken that has no effect.
+_REQUIRED = None
+MITIGATE_METHODS = {
+    "dark-ref": {"inputs": _REQUIRED, "out_dir": _REQUIRED, "dark_cols": 4, "pedestal": 16.0},
+    "lowpass": {"inputs": _REQUIRED, "out_dir": _REQUIRED, "kernel_rows": 9},
+    "tune": {"noise_freq": _REQUIRED, "fps_min": _REQUIRED, "fps_max": _REQUIRED,
+             "frame_length_min": _REQUIRED, "frame_length_max": _REQUIRED,
+             "mode": mitigation.TuningMode.MAX_SEPARATION.value},
+}
+
+
+def _mitigate_flag(dest: str) -> str:
+    return dest if dest == "inputs" else "--" + dest.replace("_", "-")
+
+
 def cmd_mitigate(args: argparse.Namespace) -> int:
+    method = MITIGATE_METHODS[args.method]
+    # The mitigate parser sets only the flags given, and --method.
+    given = {dest: value for dest, value in vars(args).items()
+             if any(dest in flags for flags in MITIGATE_METHODS.values())}
+    foreign = [_mitigate_flag(dest) for dest in given if dest not in method]
+    if foreign:
+        raise UsageError(f"--method {args.method} does not take {', '.join(foreign)}")
+    missing = [_mitigate_flag(dest) for dest, default in method.items()
+               if default is _REQUIRED and dest not in given]
+    if missing:
+        raise UsageError(f"--method {args.method} requires {', '.join(missing)}")
+    values = {**method, **given}
+
     if args.method == "tune":
-        needed = ("noise_freq", "fps_min", "fps_max", "frame_length_min", "frame_length_max")
-        missing = ["--" + dest.replace("_", "-") for dest in needed if getattr(args, dest) is None]
-        if missing:
-            raise UsageError(f"--method tune requires {', '.join(missing)}")
         rec = mitigation.recommend_tuning(
-            args.noise_freq,
-            (args.fps_min, args.fps_max),
-            (args.frame_length_min, args.frame_length_max),
-            mitigation.TuningMode(args.mode),
+            values["noise_freq"],
+            (values["fps_min"], values["fps_max"]),
+            (values["frame_length_min"], values["frame_length_max"]),
+            mitigation.TuningMode(values["mode"]),
         )
         print(f"fps {_fmt_num(rec.recommended_fps)}")
         print(f"frame length {rec.recommended_frame_length_rows} rows")
@@ -337,25 +372,20 @@ def cmd_mitigate(args: argparse.Namespace) -> int:
         print(f"band height {_band_text(rec.predicted_band_height_rows)}")
         return 0
 
-    if not args.inputs:
-        raise UsageError("no input images given")
-    if args.out_dir is None:
-        raise UsageError(f"--method {args.method} requires --out-dir")
-    paths = _expand_inputs(args.inputs)
-    out_dir = Path(args.out_dir)
+    paths = _expand_inputs(values["inputs"])
+    out_dir = Path(values["out_dir"])
 
     def corrected():
         for p, frame in zip(paths, imageio.read_stack(paths)):
             if args.method == "dark-ref":
                 fixed = mitigation.dark_reference_correct(
-                    frame, args.dark_cols, pedestal_dn=args.pedestal
+                    frame, values["dark_cols"], pedestal_dn=values["pedestal"]
                 )
             else:
-                fixed = mitigation.lowpass_offset_suppress(frame, args.kernel_rows)
+                fixed = mitigation.lowpass_offset_suppress(frame, values["kernel_rows"])
             yield p.stem, fixed
 
-    sidecar = {"command": "mitigate", "method": args.method, "dark_cols": args.dark_cols,
-               "pedestal": args.pedestal, "kernel_rows": args.kernel_rows,
+    sidecar = {"command": "mitigate", "method": args.method, **values,
                "inputs": [str(p) for p in paths], "out_dir": str(out_dir)}
     names = _write_frames(out_dir, corrected(), sidecar)
     print(f"wrote {len(names)} corrected frames to {out_dir}")
@@ -430,25 +460,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", dest="text_out", help="write report text here")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("mitigate", help="correct banding or recommend timing")
+    # Every flag but --method is in MITIGATE_METHODS, with its default.
+    p = sub.add_parser("mitigate", help="correct banding or recommend timing",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("inputs", nargs="*", help="image files or directories")
-    p.add_argument(
-        "--method", required=True, choices=("dark-ref", "lowpass", "tune")
-    )
+    p.add_argument("--method", required=True, choices=list(MITIGATE_METHODS))
     p.add_argument("--out-dir")
-    p.add_argument("--dark-cols", type=int, default=4)
-    p.add_argument("--pedestal", type=float, default=16.0)
-    p.add_argument("--kernel-rows", type=int, default=9)
+    p.add_argument("--dark-cols", type=int)
+    p.add_argument("--pedestal", type=float)
+    p.add_argument("--kernel-rows", type=int)
     p.add_argument("--noise-freq", type=float, help="Hz (tune)")
     p.add_argument("--fps-min", type=float)
     p.add_argument("--fps-max", type=float)
     p.add_argument("--frame-length-min", type=int)
     p.add_argument("--frame-length-max", type=int)
-    p.add_argument(
-        "--mode",
-        choices=[m.value for m in mitigation.TuningMode],
-        default=mitigation.TuningMode.MAX_SEPARATION.value,
-    )
+    p.add_argument("--mode", choices=[m.value for m in mitigation.TuningMode])
     p.set_defaults(func=cmd_mitigate)
 
     p = sub.add_parser("predict", help="alias placement for a hypothetical setup")
@@ -464,8 +490,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # Parse errors are ValueErrors that exit 1; any other ValueError exits 2.
+    # An interrupt (Ctrl-C) exits 1 once every finally block has run.
     try:
         return args.func(args)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 1
     except (imageio.ImageParseError, sweepmod.CsvParseError, OSError, RuntimeError,
             MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -58,7 +58,8 @@ class CsvParseError(ValueError):
 
 
 class CaptureError(RuntimeError):
-    """A capture step failed. Partial results up to the failure are attached."""
+    """A capture step failed or was interrupted. Partial results up to it
+    are attached."""
 
     def __init__(self, message: str, partial: list[tuple[float, float]]):
         super().__init__(message)
@@ -164,6 +165,8 @@ def run_sweep(config: SweepConfig) -> list[tuple[float, float]]:
                 points.append((f, _measure_captured(config, f)))
             except (RuntimeError, OSError, ValueError) as exc:
                 raise CaptureError(str(exc), points) from exc
+            except KeyboardInterrupt as exc:
+                raise CaptureError("interrupted", points) from exc
         return points
 
     base, amp, n = config.source.scenario, config.amplitude_vpp, config.frames_per_step

@@ -10,7 +10,7 @@ oracle_dark_reference_correct and oracle_lowpass_tail shift each row in
 float64 and quantize, where rownoise.mitigation shifts uint8 rows by an
 integer. oracle_expected_row_noise is the physics in closed form: the
 row noise a dark stack should measure and its standard error, from the
-normal CDF, with no frame simulated.
+normal CDF and Poisson weights, with no frame simulated.
 """
 
 import math
@@ -144,17 +144,29 @@ def _row_levels(scenario, frame_index):
     return sensor.pedestal_dn + supply.coupling_gain * sensor.dn_per_volt * volts
 
 
-def _quantized_moments(levels, sigma):
-    """Mean and variance of clip(floor(c + noise + 0.5), 0, 255), noise
-    normal with deviation sigma, at each level c. The value counts the
-    boundaries k - 0.5 (k = 1..255) that c + noise reaches, so its mean is
-    sum P_k and its second moment sum (2k - 1) P_k, P_k the normal tail
-    probability of boundary k. Boundaries more than 8 sigma away have P_k
-    0 or 1 to double precision."""
+def _quantized_moments(levels, sigma, dark_e=0.0):
+    """Mean and variance of clip(floor(c + shot + noise + 0.5), 0, 255) at
+    each level c, shot Poisson with mean dark_e and noise normal with
+    deviation sigma. The value counts the boundaries k - 0.5 (k = 1..255)
+    that c + shot + noise reaches, so its mean is sum P_k and its second
+    moment sum (2k - 1) P_k, P_k the tail probability of boundary k: the
+    Poisson(dark_e)-weighted sum of the normal tails of k - j - 0.5 about
+    c, j = 0, 1, ... Boundaries more than 8 sigma below c have P_k 1 to
+    double precision, and shot counts past dark_e + 12 sqrt(dark_e) + 12
+    weigh nothing."""
     span = math.ceil(8.0 * sigma)
-    k = np.floor(levels)[:, None] + np.arange(-span, span + 2)
-    z = ((k - 0.5 - levels[:, None]) / (sigma * math.sqrt(2.0))).ravel().tolist()
-    tail = 0.5 * np.fromiter(map(math.erfc, z), float, len(z)).reshape(k.shape)
+    shots = np.arange(math.ceil(dark_e + 12.0 * math.sqrt(dark_e) + 12.0) if dark_e else 1)
+    weight = np.exp([j * math.log(dark_e) - dark_e - math.lgamma(j + 1.0) if dark_e else 0.0
+                     for j in shots])
+    # Normal tails at boundary offsets -span - max(shots) .. span + max(shots) + 1.
+    offsets = np.arange(-span - shots[-1], span + shots[-1] + 2)
+    b = np.floor(levels)[:, None] + offsets
+    z = ((b - 0.5 - levels[:, None]) / (sigma * math.sqrt(2.0))).ravel().tolist()
+    normal = 0.5 * np.fromiter(map(math.erfc, z), float, len(z)).reshape(b.shape)
+    # The mixture's tails at offsets -span .. span + max(shots) + 1.
+    width = 2 * span + shots[-1] + 2
+    tail = sum(p * normal[:, shots[-1] - j:shots[-1] - j + width] for j, p in zip(shots, weight))
+    k = b[:, shots[-1]:shots[-1] + width]
     tail[(k < 1) | (k > 255)] = 0.0
     below = np.clip(k[:, 0] - 1, 0, 255)  # boundaries under the window: P_k = 1
     mean = below + tail.sum(axis=1)
@@ -164,8 +176,9 @@ def _quantized_moments(levels, sigma):
 def oracle_expected_row_noise(scenario, n_frames):
     """(expected row noise, standard error) of scenario's n_frames stack,
     in closed form, for a dark capture whose temporal noise is read and
-    reset noise: Gaussian, sigma their hypot. Shot noise, flicker, DSNU,
-    column FPN or no temporal noise at all raise ValueError.
+    reset noise (Gaussian, sigma their hypot) and dark-signal shot noise
+    (Poisson, 1 DN per electron). Flicker, DSNU, column FPN or no read or
+    reset noise raise ValueError.
 
     Row r of a frame sits at c_r = pedestal + supply offset, and its
     pixels have mean m_r and variance v_r (_quantized_moments). The R row
@@ -181,10 +194,10 @@ def oracle_expected_row_noise(scenario, n_frames):
     (less the Jensen gap) and variance; the channels and frames of the
     stack are independent, and row noise averages them."""
     sensor, temporal, spatial = scenario.sensor, scenario.temporal, scenario.spatial
-    if (temporal.shot_enabled and temporal.dark_signal_e > 0) or (
-        temporal.flicker_enabled and temporal.flicker_scale_dn > 0
-    ) or spatial.dsnu_dn or spatial.column_fpn_dn:
-        raise ValueError("only read and reset noise have a closed form here")
+    if (temporal.flicker_enabled and temporal.flicker_scale_dn > 0
+            ) or spatial.dsnu_dn or spatial.column_fpn_dn:
+        raise ValueError("only read, reset and shot noise have a closed form here")
+    dark_e = temporal.dark_signal_e if temporal.shot_enabled else 0.0
     reset = 0.0
     if temporal.reset_enabled and not temporal.cds_enabled:
         reset = physics.reset_noise_v(temporal.reset_temp_k, temporal.reset_cap_f)
@@ -194,7 +207,7 @@ def oracle_expected_row_noise(scenario, n_frames):
         raise ValueError("the standard error needs read or reset noise")
     rows, width = sensor.readout_rows, sensor.width
     levels = np.stack([_row_levels(scenario, f) for f in range(n_frames)])
-    m, v = _quantized_moments(levels.ravel(), sigma)
+    m, v = _quantized_moments(levels.ravel(), sigma, dark_e)
     m, w = m.reshape(levels.shape), v.reshape(levels.shape) / width
     d2 = (m - m.mean(axis=1, keepdims=True)) ** 2
     mu = d2.sum(axis=1) / (rows - 1) + w.mean(axis=1)

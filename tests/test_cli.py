@@ -11,6 +11,7 @@ import math
 import re
 import resource
 import shlex
+import shutil
 import struct
 import subprocess
 import sys
@@ -25,8 +26,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rownoise import imageio, mitigation, sensor
-from rownoise.cli import UsageError, build_parser, main
+from rownoise import cli, imageio, mitigation, sensor, sweep
+from rownoise.cli import MITIGATE_METHODS, UsageError, build_parser, main
 from rownoise.imageio import write_image
 from rownoise.sensor import Frame, SimScenario, scenario_from_json, simulate_stack
 from rownoise.sweep import CsvParseError, SweepConfig
@@ -654,6 +655,64 @@ class TestSweepCli:
         assert not calls.exists()
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("out, plot, message", [
+        ("s.dat", "s.svg", "--out and the data file of --plot would both write"),
+        ("s.svg", "s.svg", "--out and --plot would both write"),
+        ("p.csv", "p.csv", "--out and --plot would both write"),
+    ])
+    def test_outputs_that_overwrite_each_other_fail_before_the_first_point(
+        self, tmp_path, capsys, out, plot, message
+    ):
+        # The CSV, its sidecar, the SVG and the SVG's .dat are four files:
+        # two of them on one path exit 2 before the rig is called.
+        cmd, rig_dir = self.capture_rig(tmp_path)
+        calls = tmp_path / "calls.log"
+        cmd = f"echo {{freq}} >> {shlex.quote(str(calls))} && {cmd}"
+        before = sorted(tmp_path.rglob("*"))
+        code = main(["sweep", "--start", "100", "--end", "300", "--step", "100",
+                     "--capture-cmd", cmd, "--capture-dir", str(rig_dir),
+                     "--out", str(tmp_path / out), "--plot", str(tmp_path / plot)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {message} {tmp_path / out}\n")
+        assert not calls.exists()
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_interrupt_saves_the_points_before_it(self, tmp_path, capsys, monkeypatch):
+        # Ctrl-C at step 2 of a capture sweep keeps the first 2 points.
+        cmd, rig_dir = self.capture_rig(tmp_path)
+        argv = ["sweep", "--start", "100", "--end", "400", "--step", "100",
+                "--capture-cmd", cmd, "--capture-dir", str(rig_dir)]
+        full = tmp_path / "full.csv"
+        assert main([*argv, "--out", str(full)]) == 0
+        real, steps = sweep._measure_captured, []
+
+        def measure(config, freq):
+            steps.append(freq)
+            if len(steps) == 3:
+                raise KeyboardInterrupt
+            return real(config, freq)
+
+        monkeypatch.setattr(sweep, "_measure_captured", measure)
+        capsys.readouterr()
+        cut = tmp_path / "cut.csv"
+        assert main([*argv, "--out", str(cut)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: interrupted (partial results saved to {cut})\n"
+        assert cut.read_text().splitlines() == full.read_text().splitlines()[:3]
+
+    def test_interrupt_keeps_its_cause(self, monkeypatch):
+        def measure(config, freq):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sweep, "_measure_captured", measure)
+        config = SweepConfig(start_hz=100.0, end_hz=100.0, step_hz=100.0,
+                             source=sweep.CaptureSource(command="true", image_dir="rig"))
+        with pytest.raises(sweep.CaptureError, match="^interrupted$") as caught:
+            sweep.run_sweep(config)
+        assert caught.value.partial == []
+        assert isinstance(caught.value.__cause__, KeyboardInterrupt)
+
 
 class TestConfigDocuments:
     """Malformed config files are usage errors: exit 2, one error line."""
@@ -1231,6 +1290,67 @@ class TestMitigateCli:
     def test_image_method_requires_inputs(self):
         assert main(["mitigate", "--method", "dark-ref", "--out-dir", "x"]) == 2
 
+    def test_every_flag_belongs_to_a_method(self):
+        # MITIGATE_METHODS is the one list of each method's flags and
+        # defaults: the parser declares no default and no flag of its own.
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        actions = [a for a in sub.choices["mitigate"]._actions
+                   if not isinstance(a, argparse._HelpAction) and a.dest != "method"]
+        assert len(actions) == 11
+        for action in actions:
+            assert any(action.dest in own for own in MITIGATE_METHODS.values()), action.dest
+            assert action.default is argparse.SUPPRESS, action.dest
+
+    OWN_FLAG = {"dark-ref": ["--dark-cols", "3"], "lowpass": ["--kernel-rows", "3"],
+                "tune": ["--fps-min", "30"]}
+
+    def method_argv(self, tmp_path, method):
+        if method == "tune":
+            return ["mitigate", "--method", "tune", "--noise-freq", "1000", "--fps-min", "30",
+                    "--fps-max", "30", "--frame-length-min", "100", "--frame-length-max", "100"]
+        src = write_noise_stack(tmp_path / "in", 2, 16, 12)
+        return ["mitigate", "--method", method, "--out-dir", str(tmp_path / "out"), str(src)]
+
+    @pytest.mark.parametrize("method, other", [
+        (m, o) for m in MITIGATE_METHODS for o in MITIGATE_METHODS if o != m
+    ])
+    def test_flag_of_another_method_is_usage_error(self, tmp_path, capsys, method, other):
+        argv = self.method_argv(tmp_path, method)
+        assert main(argv) == 0  # the same command without the foreign flag runs
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        capsys.readouterr()
+        before = sorted(tmp_path.rglob("*"))
+        flag = self.OWN_FLAG[other]
+        assert main([*argv, *flag]) == 2
+        assert capsys.readouterr() == ("", f"error: --method {method} does not take {flag[0]}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("method, argv, missing", [
+        ("tune", ["--noise-freq", "1000", "--fps-max", "30"],
+         "--fps-min, --frame-length-min, --frame-length-max"),
+        ("lowpass", [], "inputs, --out-dir"),
+    ])
+    def test_missing_flags_are_named_in_one_line(self, tmp_path, capsys, method, argv, missing):
+        assert main(["mitigate", "--method", method, *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: --method {method} requires {missing}\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("method, flags, values", [
+        ("dark-ref", [], {"dark_cols": 4, "pedestal": 16.0}),
+        ("dark-ref", ["--dark-cols", "2", "--pedestal", "30"], {"dark_cols": 2, "pedestal": 30.0}),
+        ("lowpass", [], {"kernel_rows": 9}),
+        ("lowpass", ["--kernel-rows", "3"], {"kernel_rows": 3}),
+    ])
+    def test_sidecar_holds_only_the_method_values(self, tmp_path, method, flags, values):
+        argv = self.method_argv(tmp_path, method)
+        assert main([*argv, *flags]) == 0
+        sidecar = json.loads((tmp_path / "out" / "config.json").read_text())
+        assert sidecar == {
+            "command": "mitigate", "method": method, "out_dir": str(tmp_path / "out"),
+            "inputs": [str(tmp_path / "in" / f"im{i}.pgm") for i in (1, 2)], **values,
+        }
+
 
 class TestFrameWriter:
     """The writer thread of _write_frames: whatever fails, and wherever,
@@ -1262,7 +1382,7 @@ class TestFrameWriter:
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
     def test_frame_failing_while_a_write_is_pending(self, tmp_path, capsys, monkeypatch, error):
         # Frame 2 fails while the write of frame 1 is held open: a kernel
-        # that fits no frame exits 2, an interrupt propagates.
+        # that fits no frame exits 2, an interrupt exits 1.
         src = write_noise_stack(tmp_path / "in", 3, 16, 12)
         real_write, real_lowpass = imageio._write, mitigation.lowpass_offset_suppress
         writing, failed, calls = threading.Event(), threading.Event(), []
@@ -1289,13 +1409,31 @@ class TestFrameWriter:
         before = threading.active_count()
         argv = ["mitigate", "--method", "lowpass", "--out-dir", str(tmp_path / "out"), str(src)]
         if error is KeyboardInterrupt:
-            with pytest.raises(KeyboardInterrupt):
-                main(argv)
+            assert main(argv) == 1
+            assert capsys.readouterr().err == "error: interrupted\n"
         else:
             assert main(argv) == 2
             assert "kernel_rows 13 exceeds frame rows 12" in capsys.readouterr().err
         assert len(calls) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+        assert threading.active_count() == before
+
+    def test_interrupted_simulate_leaves_no_staging_directory(self, tmp_path, capsys,
+                                                              monkeypatch):
+        real = cli.iter_stack
+
+        def frames(scenario, n):
+            for i, frame in enumerate(real(scenario, n)):
+                if i == 1:
+                    raise KeyboardInterrupt
+                yield frame
+
+        monkeypatch.setattr(cli, "iter_stack", frames)
+        before = threading.active_count()
+        assert main(["simulate", *SMALL_FLAGS, "--frames", "3",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", "error: interrupted\n")
+        assert not list(tmp_path.iterdir())  # no .rownoise-* staging, no out-dir
         assert threading.active_count() == before
 
 
