@@ -23,6 +23,7 @@ import os
 import shutil
 import sys
 import tempfile
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import asdict, fields
@@ -118,6 +119,11 @@ def _merge_flags(args: argparse.Namespace, doc, root):
     return doc
 
 
+def _with_sidecar(flag: str, path: Path) -> dict[str, Path]:
+    """The output of flag and the sidecar written beside it, by name."""
+    return {flag: path, f"the sidecar of {flag}": Path(f"{path}.config.json")}
+
+
 def _write_sidecar(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
@@ -169,6 +175,28 @@ def _write_frames(out_dir: Path, stemmed_frames, sidecar: dict) -> list[str]:
     return names
 
 
+def _check_outputs(outputs: dict[str, Path], inputs: Iterable[Path] = ()) -> None:
+    """Raise what writing outputs, named by flag, would raise, before any
+    input is read: a missing directory or a directory in an output's
+    place exits 1; two outputs on one file, or an output on an input,
+    exit 2 with one line naming both."""
+    written: dict[Path, str] = {}
+    for name, path in outputs.items():
+        if not path.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        first = written.setdefault(path.resolve(), name)
+        if first != name:
+            raise UsageError(f"{first} and {name} would both write {path}")
+    # Only an output that exists can be an input; samefile also finds a link.
+    existing = {name: path for name, path in outputs.items() if path.exists()}
+    for path in inputs:
+        for name, out in existing.items():
+            if path.samefile(out):
+                raise UsageError(f"{name} {out} would overwrite the input {path}")
+
+
 def _expand_inputs(paths: list[str]) -> list[Path]:
     """Files stay; directories contribute their im* images in name order."""
     out: list[Path] = []
@@ -214,6 +242,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     paths = _expand_inputs(args.inputs)
+    if args.csv:
+        _check_outputs(_with_sidecar("--csv", Path(args.csv)), paths)
 
     def frames():
         for p, frame in zip(paths, imageio.read_stack(paths)):
@@ -258,21 +288,11 @@ def _sweep_config_from_args(args: argparse.Namespace) -> sweepmod.SweepConfig:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _sweep_config_from_args(args)
     out = Path(args.out)
-    outputs = {"--out": out, "the sidecar of --out": Path(f"{out}.config.json")}
+    outputs = _with_sidecar("--out", out)
     if args.plot:
         plot = Path(args.plot)
         outputs |= {"--plot": plot, "the data file of --plot": plot.with_suffix(".dat")}
-    # Raise what the writes would raise, before a capture rig runs for hours,
-    # and refuse outputs that would overwrite each other.
-    written: dict[Path, str] = {}
-    for name, path in outputs.items():
-        if not path.parent.is_dir():
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
-        if path.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        first = written.setdefault(path.resolve(), name)
-        if first != name:
-            raise UsageError(f"{first} and {name} would both write {path}")
+    _check_outputs(outputs)  # before a capture rig runs for hours
     try:
         points = sweepmod.run_sweep(config)
     except sweepmod.CaptureError as exc:
@@ -298,6 +318,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     if args.threshold is not None and (args.sigma_k is not None or args.window is not None):
         raise UsageError("--threshold excludes --sigma-k/--window")
+    outputs = {}
+    for flag, out in (("--json", args.json_out), ("--text", args.text_out)):
+        if out:
+            outputs |= _with_sidecar(flag, Path(out))
+    _check_outputs(outputs, [Path(args.csv)])
     points = sweepmod.read_csv(args.csv)
     kind = sweepmod.Absolute if args.threshold is not None else sweepmod.BaselineSigma
     given = {"value": args.threshold, "k": args.sigma_k, "window": args.window}

@@ -49,11 +49,24 @@ def row_means(frame: Frame) -> np.ndarray:
     return frame.pixels.sum(axis=2, dtype=np.min_scalar_type(MAX_DN * frame.width)) / frame.width
 
 
+def _frame_noise(means: np.ndarray) -> float:
+    """row_noise_single from the frame's row_means, calling no function that
+    bench/spans.py traces, so a sweep point may run it on a helper thread."""
+    if means.shape[1] < 2:
+        raise ValueError(f"need at least 2 rows, got {means.shape[1]}")
+    return float(np.std(means, axis=1, ddof=1).mean())
+
+
+def _stack_noise(per_frame: list[float]) -> RowNoiseResult:
+    """row_noise from each frame's _frame_noise."""
+    if not per_frame:
+        raise ValueError("stack needs at least one frame")
+    return RowNoiseResult(per_frame=per_frame, average=sum(per_frame) / len(per_frame))
+
+
 def row_noise_single(frame: Frame) -> float:
     """Row noise of one frame in DN."""
-    if frame.rows < 2:
-        raise ValueError(f"need at least 2 rows, got {frame.rows}")
-    return float(np.std(row_means(frame), axis=1, ddof=1).mean())
+    return _frame_noise(row_means(frame))
 
 
 def row_noise(frames: Iterable[Frame]) -> RowNoiseResult:
@@ -61,10 +74,7 @@ def row_noise(frames: Iterable[Frame]) -> RowNoiseResult:
     measured on its own as the iterable gives it, so the frames need not
     share a geometry and a lazy source such as imageio.read_stack is never
     held whole."""
-    per_frame = [row_noise_single(f) for f in frames]
-    if not per_frame:
-        raise ValueError("stack needs at least one frame")
-    return RowNoiseResult(per_frame=per_frame, average=sum(per_frame) / len(per_frame))
+    return _stack_noise([row_noise_single(f) for f in frames])
 
 
 def band_height_measure(means: np.ndarray) -> float:

@@ -27,15 +27,15 @@ Determinism: every stochastic term draws from its own Philox substream
 keyed by (seed, frame_index, source tag), filled row-major. A substream
 may be drawn in consecutive pieces, which gives the same values as one
 draw. Every frame is made in pieces by one body, whole on the thread
-that makes it, which sums its terms per pixel in one fixed order. One
-frame stream makes (scenario, n_frames) stacks, one for simulate or one
-per sweep point: it numbers each stack's frames from 0, builds its
-fixed-pattern maps, keyed by seed alone so they stay frozen across the
-stack, and makes the frames in pairs, a helper thread's frame beside the
-calling thread's. Frames can therefore be generated in any order, on
-either thread, and come out bit-identical. A source whose sigma or
-switch is off draws nothing and adds nothing, which leaves the other
-substreams and every output bit as they would be with its zero term added.
+that calls it, which sums its terms per pixel in one fixed order and
+hands each piece to a sink: the uint8 frame, the float frame, or the
+row sums that a simulated sweep point measures in place of frames. A
+stack numbers its frames from 0 and shares fixed-pattern maps keyed by
+seed alone. Tasks (each frame of a stack, or each sweep point) run in
+pairs, a helper thread's beside the calling thread's, and come out
+bit-identical on either thread. A source whose sigma or switch is off
+draws nothing and adds nothing, which leaves the other substreams and
+every output bit as they would be with its zero term added.
 
 Units: one simulated electron contributes one DN. Neither the supply
 coupling path nor the 0 lux operating point gives a reason to pick a
@@ -52,7 +52,7 @@ import numbers
 import operator
 import sys
 import typing
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -309,6 +309,10 @@ class FpnMaps:
     column_offset_dn: np.ndarray | None  # (channels, width), broadcast down rows
 
 
+def _shape(sensor: SensorConfig) -> tuple[int, int, int]:
+    return sensor.channels, sensor.readout_rows, sensor.width
+
+
 def _stream(seed: int, *key: int) -> np.random.Generator:
     # Philox is counter-based; SeedSequence spawn keys give stable,
     # collision-free substreams for (frame, tag) addressing.
@@ -396,8 +400,7 @@ def generate_fpn_maps(seed: int, sensor: SensorConfig, spatial: SpatialNoiseConf
     """Frozen non-uniformity maps for one seed. Frame-independent."""
     pixel = column = None
     if spatial.dsnu_dn != 0:
-        shape = (sensor.channels, sensor.readout_rows, sensor.width)
-        pixel = _stream(seed, _TAG_FPN_PIXEL).standard_normal(shape)
+        pixel = _stream(seed, _TAG_FPN_PIXEL).standard_normal(_shape(sensor))
         pixel *= spatial.dsnu_dn
     if spatial.column_fpn_dn != 0:
         column = _stream(seed, _TAG_FPN_COLUMN).standard_normal((sensor.channels, sensor.width))
@@ -489,31 +492,30 @@ def _add_draws(piece: np.ndarray, buf: np.ndarray | None, shot, normals) -> None
 
 @_finite_arithmetic()
 def _frame_in_pieces(
-    scenario: SimScenario, frame_index: int, fpn: FpnMaps | None, offsets: np.ndarray, dtype
-) -> np.ndarray:
+    scenario: SimScenario, frame_index: int, fpn: FpnMaps | None, offsets: np.ndarray, sink
+) -> None:
     """The one body that makes a frame, on the thread that calls it, given
     the frame's row_supply_offsets_dn. The flicker series is drawn first,
     whole; then each piece sums its terms in a fixed order (pedestal plus
-    supply offset, shot, read, reset, flicker, pixel FPN, column FPN) and
-    is stored as float64 or, for uint8, rounded and clipped. So no whole
-    float sum or reset array is held beside the output. Given fpn, it
-    calls no function that bench/spans.py traces, so it may run on a
-    helper thread."""
+    supply offset, shot, read, reset, flicker, pixel FPN, column FPN) in
+    a float64 buffer that the next piece reuses, and goes to sink(index,
+    piece), index being its _pieces entry. So no whole float sum or reset
+    array is held. Given fpn, it calls no function that bench/spans.py
+    traces, so it may run on a helper thread."""
     sensor = scenario.sensor
     if fpn is None:
         fpn = generate_fpn_maps(scenario.seed, sensor, scenario.spatial)
-    shape = (sensor.channels, sensor.readout_rows, sensor.width)
+    shape = _shape(sensor)
     shot, read, reset, flicker = _noise_terms(scenario, frame_index)
     series = _pink_noise(math.prod(shape), flicker[0]).reshape(shape) if flicker else None
     normals = [term for term in (read, reset) if term]
     level = sensor.pedestal_dn + offsets
-    frame = np.empty(shape, dtype=dtype)
     acc = _piece_buffer(shape)
     buf = _piece_buffer(shape) if normals else None
     for index in _pieces(shape):
         c, rows, columns = index
-        out = frame[index]
-        piece = acc[: out.size].reshape(out.shape)
+        n_rows, n_columns = rows.stop - rows.start, columns.stop - columns.start
+        piece = acc[: n_rows * n_columns].reshape(n_rows, n_columns)
         piece[...] = level[rows, None]
         _add_draws(piece, buf, shot, normals)
         if series is not None:
@@ -524,16 +526,42 @@ def _frame_in_pieces(
             piece += fpn.pixel_offset_dn[index]
         if fpn.column_offset_dn is not None:
             piece += fpn.column_offset_dn[c, columns]
-        out[...] = _round_and_clip(piece) if frame.dtype == np.uint8 else piece
-    return frame
+        sink(index, piece)
 
 
 def simulate_frame_analog(
     scenario: SimScenario, frame_index: int, fpn: FpnMaps | None = None
 ) -> np.ndarray:
     """Analog pixel values before quantization, float64 (channels, rows, width)."""
+    analog = np.empty(_shape(scenario.sensor), dtype=np.float64)
     offsets = row_supply_offsets_dn(scenario, frame_index)
-    return _frame_in_pieces(scenario, frame_index, fpn, offsets, np.float64)
+    _frame_in_pieces(scenario, frame_index, fpn, offsets, analog.__setitem__)
+    return analog
+
+
+def _quantized(scenario: SimScenario, frame_index: int, fpn, offsets: np.ndarray) -> Frame:
+    """simulate_frame given its maps and offsets."""
+    pixels = np.empty(_shape(scenario.sensor), dtype=np.uint8)
+
+    def store(index, piece) -> None:
+        pixels[index] = _round_and_clip(piece)
+
+    _frame_in_pieces(scenario, frame_index, fpn, offsets, store)
+    return Frame(pixels=pixels)
+
+
+def _row_sums(scenario: SimScenario, frame_index: int, fpn, offsets: np.ndarray) -> np.ndarray:
+    """The (channels, rows) row sums of simulate_frame's pixels, with no frame
+    made: the int64 sum truncates each rounded, clipped value as the uint8
+    cast does. Divided by the width they are metric.row_means, bit for bit."""
+    sums = np.zeros(_shape(scenario.sensor)[:2], dtype=np.int64)
+
+    def add(index, piece) -> None:
+        c, rows, _ = index
+        sums[c, rows] += _round_and_clip(piece).sum(axis=1, dtype=np.int64)
+
+    _frame_in_pieces(scenario, frame_index, fpn, offsets, add)
+    return sums
 
 
 def simulate_frame(
@@ -541,43 +569,39 @@ def simulate_frame(
 ) -> Frame:
     """Quantized capture of one frame: simulate_frame_analog's values,
     rounded and clipped piece by piece into uint8."""
-    offsets = row_supply_offsets_dn(scenario, frame_index)
-    return Frame(pixels=_frame_in_pieces(scenario, frame_index, fpn, offsets, np.uint8))
+    return _quantized(scenario, frame_index, fpn, row_supply_offsets_dn(scenario, frame_index))
 
 
-def _frame_stream(stacks: Iterable[tuple[SimScenario, int]]) -> Iterator[Frame]:
-    """The frames of each (scenario, n_frames) stack, stack after stack,
-    numbered 0 to n_frames - 1 and sharing the FPN maps built for the
-    stack when its first frame is taken. Frames are made in pairs: the
-    calling thread makes the first of each pair with simulate_frame, one
-    helper thread kept for the stream makes the second, so a pair may end
-    one stack and start the next. Maps and supply offsets are made on the
-    calling thread, with the other traced calls. Closing the stream early
-    or a frame that raises joins the helper first."""
-    jobs = ((sc, i, fpn) for sc, n in stacks
-            for fpn in [generate_fpn_maps(sc.seed, sc.sensor, sc.spatial)] for i in range(n))
-    # One helper thread, started at the first submit: a stream of one
-    # frame starts none.
+def _stack_tasks(scenario: SimScenario, n_frames: int, make) -> Iterator:
+    """A task make(scenario, frame_index, fpn, offsets) per frame of the stack.
+    The maps are built as the first is taken and each frame's offsets as
+    its task is, on the taking thread, with the other traced calls."""
+    fpn = generate_fpn_maps(scenario.seed, scenario.sensor, scenario.spatial)
+    for i in range(n_frames):
+        yield functools.partial(make, scenario, i, fpn, row_supply_offsets_dn(scenario, i))
+
+
+def _in_pairs(tasks: Iterator) -> Iterator:
+    """The result of each zero-argument task, in order. Tasks are taken two
+    at a time: the calling thread runs the first while one helper thread
+    runs the second. Closing early or a task that raises joins the helper
+    first."""
+    # One helper thread, started at the first submit: one task starts none.
     with ThreadPoolExecutor(1) as helper:
-        while pair := list(islice(jobs, 2)):
-            later = [
-                helper.submit(
-                    _frame_in_pieces, sc, i, fpn, row_supply_offsets_dn(sc, i), np.uint8
-                )
-                for sc, i, fpn in pair[1:]
-            ]
-            yield simulate_frame(*pair[0])
+        while pair := list(islice(tasks, 2)):
+            later = [helper.submit(task) for task in pair[1:]]
+            yield pair[0]()
             for future in later:
-                yield Frame(pixels=future.result())
+                yield future.result()
 
 
 def iter_stack(scenario: SimScenario, n_frames: int) -> Iterator[Frame]:
     """The frames of simulate_stack, in order, made in pairs as they are
-    asked for (_frame_stream). A caller that writes each frame out holds
-    at most the frame it last took and the pair in the making."""
+    asked for (_in_pairs). A caller that writes each frame out holds at
+    most the frame it last took and the pair in the making."""
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    yield from _frame_stream([(scenario, n_frames)])
+    yield from _in_pairs(_stack_tasks(scenario, n_frames, _quantized))
 
 
 def simulate_stack(scenario: SimScenario, n_frames: int) -> list[Frame]:

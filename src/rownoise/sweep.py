@@ -9,27 +9,27 @@ capture command (a bench supply or signal generator wrapper) that drops
 image files into a directory. A sweep is its list of (frequency, row
 noise) points in ascending frequency. A simulated point is a stack: the
 scenario at the point's frequency, amplitude and seed, and its
-frames_per_step frames. The sweep streams its stacks through the frame
-stream of simulate (sensor._frame_stream), which numbers each stack's
-frames and builds its FPN maps, and measures each point's frames in
-order.
+frames_per_step frames. Each point is one task that sums its frames'
+rows through the frame body's row-sum sink and measures them with no
+frame made; the tasks run in pairs (sensor._in_pairs).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import subprocess
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import imageio, physics
-from .metric import row_noise
-from .sensor import SimScenario, _bounded, _build_section, _Config, _frame_stream
+from .metric import _frame_noise, _stack_noise, row_noise
+from .sensor import SimScenario, _bounded, _build_section, _Config
+from .sensor import _in_pairs, _row_sums, _stack_tasks
 from .sensor import simulate_stack  # noqa: F401  bench/test_bench.py traces sweep.simulate_stack
 
 __all__ = [
@@ -175,9 +175,15 @@ def run_sweep(config: SweepConfig) -> list[tuple[float, float]]:
                 seed=_step_seed(config.seed, index))
         for index, f in enumerate(freqs)
     ]
-    # closing() joins the stream's helper thread before the sweep returns or raises.
-    with closing(_frame_stream((sc, n) for sc in scenarios)) as stream:
-        return [(f, row_noise(islice(stream, n)).average) for f in freqs]
+
+    def measure(frames: list) -> float:  # on either thread, from row sums
+        return _stack_noise([_frame_noise(sums() / base.sensor.width) for sums in frames]).average
+
+    # A point's maps and offsets are built here as the runner takes its task;
+    # closing() joins the runner's helper thread before the sweep returns or raises.
+    tasks = (functools.partial(measure, list(_stack_tasks(sc, n, _row_sums))) for sc in scenarios)
+    with closing(_in_pairs(tasks)) as values:
+        return list(zip(freqs, values))
 
 
 def _format_freq(freq: float) -> str:

@@ -444,6 +444,24 @@ class TestAnalyze:
         assert "im1.pgm,5.7735" in csv.read_text()
         assert (tmp_path / "per_frame.csv.config.json").exists()
 
+    @pytest.mark.parametrize("inputs, named", [
+        (["im1.pgm", "im2.pgm"], "im2.pgm"), (["."], "im2.pgm"), (["link.pgm"], "link.pgm"),
+    ], ids=["files", "directory", "link"])
+    def test_csv_on_an_input_is_usage_error(self, tmp_path, capsys, monkeypatch, inputs, named):
+        # Exit 2 before any image is read, naming both files; every file
+        # is left as it was.
+        monkeypatch.chdir(tmp_path)
+        for name in ("im1.pgm", "im2.pgm"):
+            write_pgm(tmp_path / name, [10, 20, 10, 20])
+        (tmp_path / "link.pgm").symlink_to("im2.pgm")
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.setattr(imageio, "read_image", None)  # reading an image would raise
+        assert main(["analyze", *inputs, "--csv", "im2.pgm"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --csv im2.pgm would overwrite the input {named}\n"
+        )
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_corrupt_image_is_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "im1.pgm"
         bad.write_bytes(b"P5\n4 4\n65535\n" + b"\x00" * 32)
@@ -532,6 +550,13 @@ class TestSweepCli:
         )
         assert code == 0
         assert len(csv.read_text().splitlines()) == 101  # header + 100 rows
+
+    def test_one_row_is_usage_error_that_writes_nothing(self, tmp_path, capsys):
+        code = main(["sweep", "--width", "8", "--active-rows", "1", "--start", "100",
+                     "--end", "300", "--step", "100", "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: need at least 2 rows, got 1\n")
+        assert not list(tmp_path.iterdir())
 
     def test_bad_range_is_usage_error(self, tmp_path):
         assert main(["sweep", "--start", "500", "--end", "100",
@@ -1061,6 +1086,27 @@ class TestReportCli:
                      "--text", str(report)]) == 0
         sidecar = json.loads((tmp_path / "report.txt.config.json").read_text())
         assert sidecar["threshold"] == threshold
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--json", "bump.csv"], "--json bump.csv would overwrite the input bump.csv"),
+        (["--text", "./bump.csv"], "--text bump.csv would overwrite the input bump.csv"),
+        (["--json", "r.out", "--text", "r.out"], "--json and --text would both write r.out"),
+        (["--json", "r", "--text", "r.config.json"],
+         "the sidecar of --json and --text would both write r.config.json"),
+    ])
+    def test_outputs_on_the_input_or_each_other_are_usage_errors(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        # Exit 2 before the CSV is read, with one line naming both files;
+        # the sweep CSV is left as it was and nothing is written.
+        monkeypatch.chdir(tmp_path)
+        csv = bump_csv(tmp_path)
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.setattr(sweep, "read_csv", None)  # reading the CSV would raise
+        assert main(["report", "--csv", "bump.csv", "--threshold", "0.5", *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert csv.exists()
 
     def test_threshold_flags_are_exclusive(self, tmp_path):
         assert main(["report", "--csv", str(bump_csv(tmp_path)),
@@ -1629,10 +1675,16 @@ def argv_for(draw, command: str, inputs: Path, csv: Path, work: Path) -> list[st
             "--json": st.just(str(work / "r.json")), "--text": st.just(str(work / "r.txt")),
         }))]
     if command == "mitigate":
-        return ["mitigate", str(inputs), "--out-dir", str(work / "fixed"),
-                "--method", draw(st.sampled_from(["dark-ref", "lowpass"])),
-                *draw(some_flags({"--dark-cols": COUNT, "--pedestal": NUMBER,
-                                  "--kernel-rows": COUNT}))]
+        # The method's own flags from MITIGATE_METHODS, and about one time
+        # in ten a flag of the other method.
+        method = draw(st.sampled_from(["dark-ref", "lowpass"]))
+        values = {"--dark-cols": COUNT, "--pedestal": NUMBER, "--kernel-rows": COUNT}
+        own = {flag: values[flag] for flag in values
+               if flag[2:].replace("-", "_") in MITIGATE_METHODS[method]}
+        foreign = {flag: value for flag, value in values.items() if flag not in own}
+        return ["mitigate", str(inputs), "--out-dir", str(work / "fixed"), "--method", method,
+                *draw(some_flags(own)),
+                *draw(mostly(st.just([]), some_flags(foreign).filter(bool)))]
     if command == "mitigate-tune":
         fps, length = draw(NUMBER), draw(COUNT)
         # fps_max 1e308 overflows the point count of the 0.01 fps grid

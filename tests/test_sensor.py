@@ -723,13 +723,14 @@ class TestThreadDiscipline:
         )
         sensormod.simulate_stack(lane_scenario(every_source, 3, 64, 48), 4)
         sensormod.simulate_stack(lane_scenario(reset_flicker, 1, 64, 48), 3)
+        sensormod.simulate_frame(lane_scenario(every_source, 1, 64, 48), 0)  # no stack calls it
         assert rownoise.cli.main([
             "sweep", "--width", "32", "--active-rows", "24", "--read-noise", "2",
             "--start", "100", "--end", "200", "--step", "100", "--frames-per-step", "3",
             "--reset", "--flicker", "--flicker-scale", "0.5",
             "--out", str(tmp_path / "sweep.csv"),
         ]) == 0
-        # Three frames per point, so pairs straddle points.
+        # Three points, so the last has no partner.
         assert rownoise.cli.main([
             "sweep", "--width", "32", "--active-rows", "24", "--read-noise", "2",
             "--start", "100", "--end", "300", "--step", "100", "--frames-per-step", "3",

@@ -7,13 +7,14 @@ import shlex
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rownoise import sensor, sweep
+from rownoise import physics, sensor, sweep
 from rownoise.metric import row_noise
 from rownoise.sensor import (
     PhaseMode,
@@ -172,7 +173,7 @@ class TestRunSweep:
         monkeypatch.setattr(sensor, "_frame_in_pieces", record)
         before = threading.active_count()
         assert run_sweep(cfg) == expected
-        # One frame per point, yet two threads: frames pair across points.
+        # One frame per point, yet two threads: the points run in pairs.
         assert len({ident for ident, _ in seen}) == 2
         assert max(alive for _, alive in seen) <= before + 1
         assert threading.active_count() == before
@@ -222,9 +223,9 @@ EVERY_SOURCE = TemporalNoiseConfig(
 
 
 class TestSweepStream:
-    """A simulated sweep runs the frames of all its points through one
-    frame stream in pairs, so pairs straddle points. Every point must
-    still equal its own stack, measured alone."""
+    """A simulated sweep runs each point as one task, in pairs, and
+    measures its frames from row sums with no frame made. Every point must
+    still equal its own stack, simulated and measured alone."""
 
     @staticmethod
     def scenario(channels, phase_mode):
@@ -258,6 +259,58 @@ class TestSweepStream:
         assert threading.active_count() == before
 
     @staticmethod
+    def own_stacks(cfg: SweepConfig) -> list[tuple[float, float]]:
+        """Each point of cfg measured alone, from the frames of its stack."""
+        base, points = cfg.source.scenario, []
+        for index, freq in enumerate(physics.frequency_grid(cfg.start_hz, cfg.end_hz,
+                                                            cfg.step_hz)):
+            point = replace(base, seed=sweep._step_seed(cfg.seed, index), supply=replace(
+                base.supply, frequency_hz=freq, amplitude_vpp=cfg.amplitude_vpp))
+            points.append((freq, row_noise(simulate_stack(point, cfg.frames_per_step)).average))
+        return points
+
+    @pytest.mark.parametrize("phase_mode", list(PhaseMode))
+    def test_rows_longer_than_a_piece_equal_their_own_stacks(self, phase_mode):
+        # Each row is summed from two pieces, of _CHUNK and of 7 columns.
+        scenario = replace(self.scenario(3, phase_mode), sensor=SensorConfig(
+            width=sensor._CHUNK + 7, active_rows=2, optical_black_rows=1, blanking_rows=14,
+            channels=3))
+        cfg = SweepConfig(start_hz=1000.0, end_hz=3000.0, step_hz=1000.0, amplitude_vpp=0.5,
+                          frames_per_step=2, seed=3, source=SimulateSource(scenario=scenario))
+        assert run_sweep(cfg) == self.own_stacks(cfg)
+
+    def test_a_sweep_makes_no_frame(self, monkeypatch):
+        cfg = SweepConfig(start_hz=1000.0, end_hz=5000.0, step_hz=1000.0, frames_per_step=3,
+                          source=SimulateSource(scenario=self.scenario(3, PhaseMode.CONTINUOUS)))
+        expected = self.own_stacks(cfg)
+
+        def no_frame(*args, **kwargs):
+            raise AssertionError("the sweep made a Frame")
+
+        monkeypatch.setattr(sensor, "Frame", no_frame)
+        assert run_sweep(cfg) == expected
+
+    @pytest.mark.peak_memory
+    def test_peak_memory_does_not_grow_with_frames_per_step(self):
+        # A point holds its frames' row sums and its piece buffers, no
+        # frame: 3 more frames per step add less than one frame.
+        scenario = SimScenario(sensor=SensorConfig(width=640, active_rows=480),
+                               temporal=TemporalNoiseConfig(read_noise_dn=2.0))
+
+        def peak(n: int) -> int:
+            cfg = SweepConfig(start_hz=1000.0, end_hz=4000.0, step_hz=1000.0,
+                              frames_per_step=n, source=SimulateSource(scenario=scenario))
+            run_sweep(cfg)  # imports and caches
+            tracemalloc.start()
+            try:
+                run_sweep(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4) < peak(1) + 640 * 480
+
+    @staticmethod
     def record_maps(monkeypatch) -> list[int]:
         """The seed of each sensor.generate_fpn_maps call from now on."""
         seeds, real = [], sensor.generate_fpn_maps
@@ -278,26 +331,26 @@ class TestSweepStream:
         run_sweep(cfg)
         assert seeds == [sweep._step_seed(3, index) for index in range(5)]
 
-    @pytest.mark.parametrize("n", [2, 4])
-    def test_closing_after_the_first_point_builds_only_its_maps(self, monkeypatch, n):
-        # An even frame count ends the first point with a whole pair, so no
-        # frame of the second point has been asked for when the stream closes.
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_stopping_in_the_first_pair_builds_at_most_its_maps(self, monkeypatch, n):
+        # Points are taken two at a time, each building its maps as it is
+        # taken: a frame body that fails stops the sweep in its first pair.
         class Stop(Exception):
             pass
 
-        def measure_first_point(frames):
-            assert len(list(frames)) == n
+        def fail(*args):
             raise Stop
 
         source = SimulateSource(scenario=self.scenario(3, PhaseMode.CONTINUOUS))
         cfg = SweepConfig(start_hz=1000.0, end_hz=5000.0, step_hz=1000.0, frames_per_step=n,
                           seed=3, source=source)
         seeds = self.record_maps(monkeypatch)
-        monkeypatch.setattr(sweep, "row_noise", measure_first_point)
+        monkeypatch.setattr(sensor, "_frame_in_pieces", fail)
         before = threading.active_count()
         with pytest.raises(Stop):
             run_sweep(cfg)
-        assert seeds == [sweep._step_seed(3, 0)]
+        assert 1 <= len(seeds) <= 2
+        assert seeds == [sweep._step_seed(3, index) for index in range(len(seeds))]
         assert threading.active_count() == before
 
 
