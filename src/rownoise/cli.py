@@ -21,8 +21,10 @@ import json
 import math
 import os
 import shutil
+import signal
 import sys
 import tempfile
+import threading
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -119,13 +121,18 @@ def _merge_flags(args: argparse.Namespace, doc, root):
     return doc
 
 
+def _sidecar(path: Path) -> Path:
+    """The sidecar written beside the output path."""
+    return Path(f"{path}.config.json")
+
+
 def _with_sidecar(flag: str, path: Path) -> dict[str, Path]:
-    """The output of flag and the sidecar written beside it, by name."""
-    return {flag: path, f"the sidecar of {flag}": Path(f"{path}.config.json")}
+    """The output of flag and its sidecar, by name."""
+    return {flag: path, f"the sidecar of {flag}": _sidecar(path)}
 
 
 def _write_sidecar(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    imageio._publish(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _write_frames(out_dir: Path, stemmed_frames, sidecar: dict) -> list[str]:
@@ -260,15 +267,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         csv_path = Path(args.csv)
         lines = ["frame,row_noise"]
         lines += [f"{p.name},{v:.4f}" for p, v in zip(paths, result.per_frame)]
-        csv_path.write_text("\n".join(lines) + "\n")
-        _write_sidecar(
-            Path(f"{csv_path}.config.json"),
-            {
-                "command": "analyze",
-                "inputs": [str(p) for p in paths],
-                "csv": str(csv_path),
-            },
-        )
+        imageio._publish(csv_path, "\n".join(lines) + "\n")
+        _write_sidecar(_sidecar(csv_path), {"command": "analyze", "csv": str(csv_path),
+                                            "inputs": [str(p) for p in paths]})
     return 0
 
 
@@ -291,24 +292,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     outputs = _with_sidecar("--out", out)
     if args.plot:
         plot = Path(args.plot)
-        outputs |= {"--plot": plot, "the data file of --plot": plot.with_suffix(".dat")}
+        outputs |= {"--plot": plot, "the data file of --plot": sweepmod._plot_data_path(plot)}
     _check_outputs(outputs)  # before a capture rig runs for hours
+    sidecar = {"command": "sweep", "out": str(out),
+               "config": json.loads(sweepmod.sweep_config_to_json(config))}
     try:
         points = sweepmod.run_sweep(config)
     except sweepmod.CaptureError as exc:
-        # Save what completed so a partial bench run is not lost.
+        # Save what completed, and how, so a partial bench run is not lost.
         sweepmod.write_csv(exc.partial, out)
+        _write_sidecar(_sidecar(out), {**sidecar, "completed": len(exc.partial),
+                                       "error": str(exc)})
         print(f"error: {exc} (partial results saved to {out})", file=sys.stderr)
         return 1
     sweepmod.write_csv(points, out)
-    _write_sidecar(
-        Path(f"{out}.config.json"),
-        {
-            "command": "sweep",
-            "out": str(out),
-            "config": json.loads(sweepmod.sweep_config_to_json(config)),
-        },
-    )
+    _write_sidecar(_sidecar(out), sidecar)
     if args.plot:
         sweepmod.emit_plot_data(points, args.plot)
     print(f"wrote {len(points)} points to {out}")
@@ -338,18 +336,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     sys.stdout.write(text)
     name = "absolute" if isinstance(mode, sweepmod.Absolute) else "baseline_sigma"
     threshold_doc = {"mode": name, **asdict(mode)}
-    for out, payload in ((args.json_out, None), (args.text_out, text)):
-        if not out:
-            continue
-        path = Path(out)
-        if payload is None:
-            path.write_text(json.dumps(asdict(report), indent=2) + "\n")
-        else:
-            path.write_text(payload)
-        _write_sidecar(
-            Path(f"{path}.config.json"),
-            {"command": "report", "csv": str(args.csv), "threshold": threshold_doc},
-        )
+    report_json = json.dumps(asdict(report), indent=2) + "\n"
+    for out, payload in ((args.json_out, report_json), (args.text_out, text)):
+        if out:
+            imageio._publish(out, payload)
+            _write_sidecar(_sidecar(Path(out)),
+                           {"command": "report", "csv": str(args.csv), "threshold": threshold_doc})
     return 0
 
 
@@ -515,7 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # Parse errors are ValueErrors that exit 1; any other ValueError exits 2.
-    # An interrupt (Ctrl-C) exits 1 once every finally block has run.
+    # An interrupt (Ctrl-C, or SIGTERM while main runs on the main thread)
+    # exits 1 once every finally block has run.
+    on_main = threading.current_thread() is threading.main_thread()
+    if on_main:
+        on_term = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return args.func(args)
     except KeyboardInterrupt:
@@ -528,6 +524,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, on_term)
 
 
 if __name__ == "__main__":

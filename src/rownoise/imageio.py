@@ -7,10 +7,14 @@ file with any other maxval is rejected rather than misread. Readers
 additionally accept uncompressed 24-bit BMP, normalizing its bottom-up
 row order and stripping the per-row padding so callers always see
 top-down (channels, rows, width) uint8.
+
+_publish is the one writer of every text output (CSVs, sidecars, report
+JSON and text, the plot's SVG and data file): it replaces a file whole.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from collections.abc import Iterator
 from pathlib import Path
@@ -64,6 +68,23 @@ def _write(frame: Frame, path: Path, mode: str = "wb") -> None:
     with path.open(mode) as f:
         f.write(b"%s\n%d %d\n255\n" % (magic, frame.width, frame.rows))
         f.write(np.ascontiguousarray(np.transpose(frame.pixels, (1, 2, 0))))
+
+
+def _publish(path: str | Path, text: str) -> None:
+    """Replace path's target with a file holding text: write it into a new
+    file beside the target, then os.replace it there, so a failed write
+    leaves the previous file as it was and no partial file behind. A
+    symlink stays a link; its target gets the text."""
+    path = Path(path).resolve()
+    part = path.with_name(f".{path.name}.{os.urandom(4).hex()}.part")
+    f = open(part, "x")
+    try:
+        with f:
+            f.write(text)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def read_image(path: str | Path) -> Frame:

@@ -196,7 +196,7 @@ def write_csv(points: list[tuple[float, float]], path: str | Path) -> None:
     """Two columns, row noise at 4 decimals. Stable byte-for-byte."""
     lines = [CSV_HEADER]
     lines += [f"{_format_freq(f)},{v:.4f}" for f, v in points]
-    Path(path).write_text("\n".join(lines) + "\n")
+    imageio._publish(path, "\n".join(lines) + "\n")
 
 
 def read_csv(path: str | Path) -> list[tuple[float, float]]:
@@ -347,15 +347,19 @@ def analyze_report(
     )
 
 
+def _plot_data_path(svg_path: str | Path) -> Path:
+    """The two-column data file emit_plot_data writes beside svg_path."""
+    return Path(svg_path).with_suffix(".dat")
+
+
 def emit_plot_data(points: list[tuple[float, float]], svg_path: str | Path) -> None:
     """Write a self-contained SVG line chart plus a two-column data file
     of the same name with the suffix .dat."""
     if not points:
         raise ValueError("sweep result has no points")
-    svg_path = Path(svg_path)
     data_lines = [f"{_format_freq(f)} {v:.4f}" for f, v in points]
-    svg_path.with_suffix(".dat").write_text("\n".join(data_lines) + "\n")
-    svg_path.write_text(_render_svg(points))
+    imageio._publish(_plot_data_path(svg_path), "\n".join(data_lines) + "\n")
+    imageio._publish(svg_path, _render_svg(points))
 
 
 def _render_svg(points: list[tuple[float, float]]) -> str:

@@ -1,22 +1,26 @@
-"""End-to-end command line tests, driven through main() for speed with one
-subprocess smoke check of the module entry point."""
+"""End-to-end command line tests, driven through main() for speed, with
+subprocess checks of the module entry point and of SIGTERM."""
 
 import argparse
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import re
 import resource
 import shlex
 import shutil
+import signal
 import struct
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 import typing
 import warnings
@@ -738,6 +742,52 @@ class TestSweepCli:
         assert caught.value.partial == []
         assert isinstance(caught.value.__cause__, KeyboardInterrupt)
 
+    def test_failed_capture_sweep_writes_a_sidecar_that_replays(self, tmp_path, capsys):
+        # The rig fails at step 2 while the file broken exists. The partial
+        # run's sidecar records the 2 points and the error, and replays the
+        # whole sweep once the rig works.
+        cmd, rig_dir = self.capture_rig(tmp_path)
+        argv = ["sweep", "--start", "100", "--end", "400", "--step", "100",
+                "--capture-dir", str(rig_dir)]
+        full = tmp_path / "full.csv"
+        assert main([*argv, "--capture-cmd", cmd, "--out", str(full)]) == 0
+        assert json.loads(Path(f"{full}.config.json").read_text()).keys() == {
+            "command", "config", "out"}
+        broken = tmp_path / "broken"
+        broken.touch()
+        failing = f"[ {{freq}} -lt 300 ] || [ ! -e {shlex.quote(str(broken))} ] && {cmd}"
+        cut = tmp_path / "cut.csv"
+        assert main([*argv, "--capture-cmd", failing, "--out", str(cut)]) == 1
+        error = "capture command failed at 300.0 Hz (exit 1)"
+        assert capsys.readouterr().err == f"error: {error} (partial results saved to {cut})\n"
+        assert cut.read_text().splitlines() == full.read_text().splitlines()[:3]
+        sidecar = json.loads(Path(f"{cut}.config.json").read_text())
+        assert (sidecar["completed"], sidecar["error"]) == (2, error)
+        assert sidecar["config"]["source"]["command"] == failing
+        broken.unlink()
+        again = tmp_path / "again.csv"
+        assert main(["sweep", "--config", f"{cut}.config.json", "--out", str(again)]) == 0
+        assert again.read_bytes() == full.read_bytes()
+
+    def test_sigterm_saves_the_points_before_it(self, tmp_path):
+        # The rig sends SIGTERM to the sweep at step 2: the sweep unwinds
+        # as on Ctrl-C, and the CSV and the sidecar keep the first 2 points.
+        cmd, rig_dir = self.capture_rig(tmp_path)
+        cmd = f"if [ {{freq}} = 300 ]; then kill -TERM $PPID; sleep 10; fi; {cmd}"
+        cut = tmp_path / "cut.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rownoise.cli", "sweep", "--start", "100", "--end", "400",
+             "--step", "100", "--capture-cmd", cmd, "--capture-dir", str(rig_dir),
+             "--out", str(cut)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: interrupted (partial results saved to {cut})\n"
+        assert cut.read_text().splitlines() == ["frequency_hz,row_noise", "100,0.0000",
+                                                "200,0.0000"]
+        sidecar = json.loads(Path(f"{cut}.config.json").read_text())
+        assert (sidecar["completed"], sidecar["error"]) == (2, "interrupted")
+
 
 class TestConfigDocuments:
     """Malformed config files are usage errors: exit 2, one error line."""
@@ -887,8 +937,9 @@ JUNK = st.sampled_from(BAD + [0.5, {}])
 
 def mostly(valid, junk, odds: int = 9):
     """valid about odds times in odds + 1 (nine in ten by default), so that
-    whole documents often parse."""
-    return st.integers(0, odds).flatmap(lambda i: valid if i else junk)
+    whole documents often parse. A sampled flag, not st.integers(0, odds),
+    whose draws hypothesis bends toward the ends of the range."""
+    return st.sampled_from([True] * odds + [False]).flatmap(lambda ok: valid if ok else junk)
 
 
 def field(valid):
@@ -1481,6 +1532,146 @@ class TestFrameWriter:
         assert capsys.readouterr() == ("", "error: interrupted\n")
         assert not list(tmp_path.iterdir())  # no .rownoise-* staging, no out-dir
         assert threading.active_count() == before
+
+
+class TestTextOutputs:
+    """Every text output is written to a new file beside it and then
+    renamed over it, so a failed write leaves the previous file."""
+
+    CASES = ["analyze csv", "analyze sidecar", "sweep csv", "report json", "report text"]
+
+    def runs(self, tmp_path, case):
+        """Two argvs that write the case's output with different bytes, and
+        that output."""
+        if case.startswith("analyze"):
+            caps = write_noise_stack(tmp_path / "caps", 3, 8, 6)
+            out = tmp_path / "rn.csv"
+            first = ["analyze", str(caps / "im1.pgm"), "--csv", str(out)]
+            second = ["analyze", str(caps), "--csv", str(out)]
+            return first, second, out if case == "analyze csv" else Path(f"{out}.config.json")
+        if case == "sweep csv":
+            out = tmp_path / "s.csv"
+            first = ["sweep", "--width", "8", "--active-rows", "16", "--read-noise", "1",
+                     "--start", "100", "--end", "200", "--step", "100", "--out", str(out)]
+            return first, [*first, "--end", "300"], out
+        csv = bump_csv(tmp_path)
+        outs = ["--json", str(tmp_path / "r.json"), "--text", str(tmp_path / "r.txt")]
+        first = ["report", "--csv", str(csv), "--threshold", "0.3", *outs]
+        second = ["report", "--csv", str(csv), "--threshold", "5", *outs]
+        return first, second, tmp_path / ("r.json" if case == "report json" else "r.txt")
+
+    @pytest.mark.parametrize("how", ["write", "replace"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_failed_write_leaves_the_previous_file(self, tmp_path, capsys, monkeypatch,
+                                                   case, how):
+        first, second, target = self.runs(tmp_path, case)
+        assert main(first) == 0
+        before = target.read_bytes()
+        failed = []
+
+        def torn_open(file, mode="r", *args, **kwargs):
+            f = open(file, mode, *args, **kwargs)
+            if Path(file).name.startswith(f".{target.name}."):
+                write = f.write
+
+                def half_then_fail(text):
+                    write(text[: len(text) // 2])
+                    failed.append(file)
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+                f.write = half_then_fail
+            return f
+
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst) == target.resolve():
+                failed.append(dst)
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            real_replace(src, dst)
+
+        if how == "write":
+            monkeypatch.setattr(imageio, "open", torn_open, raising=False)
+        else:
+            monkeypatch.setattr(os, "replace", replace)
+        capsys.readouterr()
+        assert main(second) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+        assert len(failed) == 1
+        assert target.read_bytes() == before
+        assert not list(tmp_path.rglob("*.part"))
+
+    def test_new_output_takes_the_mode_write_text_gives(self, tmp_path):
+        csv = bump_csv(tmp_path)
+        umask = os.umask(0o027)
+        try:
+            (tmp_path / "by-write-text").write_text("")
+            assert main(["report", "--csv", str(csv), "--json", str(tmp_path / "r.json")]) == 0
+        finally:
+            os.umask(umask)
+        modes = {p.stat().st_mode & 0o777 for p in
+                 (tmp_path / "by-write-text", tmp_path / "r.json", tmp_path / "r.json.config.json")}
+        assert modes == {0o640}
+
+    def test_output_symlink_gets_the_bytes_in_its_target(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "r.txt").write_text("old\n")
+        link = tmp_path / "r.txt"
+        link.symlink_to(Path("store") / "r.txt")
+        assert main(["report", "--csv", str(bump_csv(tmp_path)), "--threshold", "0.3",
+                     "--text", str(link)]) == 0
+        assert link.is_symlink()
+        assert (store / "r.txt").read_text() == capsys.readouterr().out
+        assert sorted(p.name for p in store.iterdir()) == ["r.txt"]
+
+
+class TestSigterm:
+    """SIGTERM unwinds main as Ctrl-C does, and only while main runs."""
+
+    def test_sigterm_during_simulate_leaves_no_staging_directory(self, tmp_path):
+        # Signalled once the first frame is staged, long before the last.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rownoise.cli", "simulate", "--width", "32",
+             "--active-rows", "16", "--read-noise", "2", "--frames", "100000",
+             "--out-dir", str(tmp_path / "out")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not list(tmp_path.glob(".rownoise-*/im*")):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert (proc.returncode, out, err) == (1, "", "error: interrupted\n")
+        assert not list(tmp_path.iterdir())  # no .rownoise-* staging, no out-dir
+
+    def test_main_restores_the_callers_handler(self):
+        script = (
+            "import signal\n"
+            "from rownoise.cli import main\n"
+            "def handler(signum, frame): pass\n"
+            "signal.signal(signal.SIGTERM, handler)\n"
+            "argv = ['predict', '--fps', '30', '--frame-length', '100', '--noise-freq']\n"
+            "codes = [main([*argv, '1000']), main([*argv, '-1'])]\n"
+            "print(codes, signal.getsignal(signal.SIGTERM) is handler)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.stdout.splitlines()[-1] == "[0, 2] True"
+
+    def test_main_runs_off_the_main_thread(self, capsys):
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(main(
+            ["predict", "--noise-freq", "36000", "--fps", "30", "--frame-length", "800"])))
+        worker.start()
+        worker.join()
+        assert codes == [0]
+        assert capsys.readouterr().out == "alias 12000 Hz, band height 1 row\n"
 
 
 class TestPredictCli:
